@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .codes import build_chain, dual_spectrum, extend_code, save_code
 from .field import build_field_context, quad_sum
 from .graphs import (
-    all_distances,
     build_coset_graph,
     check_antipodal,
     check_distance_regular,
@@ -93,7 +92,7 @@ class Check:
 
 
 class Workspace:
-    """Caches per-m contexts, chains, coset tables, graphs and distances."""
+    """Caches per-m contexts, chains, coset tables and graphs."""
 
     def __init__(self, targets: Optional[Sequence[int]] = None,
                  poly_m: Optional[int] = None, poly_u: Optional[int] = None):
@@ -130,9 +129,6 @@ class Workspace:
 
     def graph(self, m, i, ext=False):
         return self._get(("graph", m, i, ext), lambda: build_coset_graph(self.code(m, i, ext)))
-
-    def dist(self, m, i, ext=False):
-        return self._get(("dist", m, i, ext), lambda: all_distances(self.graph(m, i, ext)))
 
     def ct(self, m, i):
         return self._get(
@@ -265,8 +261,7 @@ def suite_graph(ws: Workspace, m: int) -> List[Check]:
         for ext in (False, True):
             t0 = time.perf_counter()
             g = ws.graph(m, i, ext)
-            d = ws.dist(m, i, ext)
-            rep = check_distance_regular(g, d)
+            rep = check_distance_regular(g)
             expected = extended_cria_array(m, i) if ext else cria_array(m, i)
             want_d = (2 if i == 0 else 4) if ext else (1 if i == 0 else 3)
             ok = (rep.connected and rep.distance_regular
@@ -278,7 +273,7 @@ def suite_graph(ws: Workspace, m: int) -> List[Check]:
                               f"D={want_d} {expected}", note, t0))
             if i > 0:
                 t0 = time.perf_counter()
-                anti = check_antipodal(g, d)
+                anti = check_antipodal(g)
                 ok = anti.antipodal and anti.fibre_size == 1 << i
                 out.append(_check("graph-antipodal", m, i, ext, ok,
                                   f"fibre {1 << i}",
@@ -303,7 +298,6 @@ def suite_cover(ws: Workspace, m: int) -> List[Check]:
                 rep = verify_cover(
                     ws.graph(m, i, ext), ws.graph(m, j, ext),
                     ws.code(m, i, ext), ws.code(m, j, ext),
-                    ws.table(m, i, ext),
                 )
                 ok = rep.verdict and rep.fibre_size == 1 << (i - j)
                 out.append(_check("graph-cover", m, i, ext, ok,
@@ -312,7 +306,7 @@ def suite_cover(ws: Workspace, m: int) -> List[Check]:
                                   f"bijective={rep.locally_bijective}", t0))
     for i in range(1, u + 1):
         t0 = time.perf_counter()
-        rep = verify_antipodal_cover_array(ws.graph(m, i), ws.dist(m, i))
+        rep = verify_antipodal_cover_array(ws.graph(m, i))
         out.append(_check("cover-array-shape", m, i, False,
                           rep.applicable and rep.matches,
                           "(N-1,(r-1)c2,1;1,c2,N-1)",
@@ -367,13 +361,18 @@ def _parse_targets(raw: Optional[str]) -> Optional[List[int]]:
         raise ConfigError(f"bad subspace basis {raw!r}: {exc}") from exc
 
 
-def _parse_levels(raw: Optional[str]) -> Optional[List[int]]:
+def _pick_levels(raw: Optional[str], u: int) -> List[int]:
+    """The requested levels, all of them checked before any work is done."""
     if raw is None:
-        return None
+        return list(range(u + 1))
     try:
-        return sorted({int(part) for part in raw.split(",") if part})
+        levels = sorted({int(part) for part in raw.split(",") if part})
     except ValueError as exc:
         raise ConfigError(f"bad level list {raw!r}") from exc
+    for i in levels:
+        if not 0 <= i <= u:
+            raise ConfigError(f"level {i} out of range 0..{u}")
+    return levels
 
 
 def _validate_m(m: int, cap: int) -> None:
@@ -400,6 +399,8 @@ def cmd_verify(args) -> int:
     for name in suites:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     ws = Workspace(_parse_targets(args.subspace_basis), args.prim_poly_m, args.prim_poly_u)
     t_start = time.perf_counter()
     tasks = [(m, name) for m in ms for name in suites]
@@ -446,14 +447,11 @@ def cmd_build(args) -> int:
     _validate_m(args.m, 12)
     ctx = build_field_context(args.m, args.prim_poly_m, args.prim_poly_u)
     chain = build_chain(ctx, _parse_targets(args.subspace_basis))
-    levels = _parse_levels(args.levels)
-    picked = range(ctx.u + 1) if levels is None else levels
+    picked = _pick_levels(args.levels, ctx.u)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for i in picked:
-        if not 0 <= i <= ctx.u:
-            raise ConfigError(f"level {i} out of range 0..{ctx.u}")
         code = chain[i]
         written.extend(save_code(code, str(out_dir / f"code_m{args.m}_i{i}")))
         if args.extended:
@@ -463,7 +461,7 @@ def cmd_build(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "build",
-        "config": {"m": args.m, "levels": list(picked),
+        "config": {"m": args.m, "levels": picked,
                    "subspace_basis": args.subspace_basis,
                    "extended": args.extended},
         "files": written,
@@ -484,14 +482,11 @@ def cmd_export(args) -> int:
     _validate_m(args.m, 8)
     ctx = build_field_context(args.m, args.prim_poly_m, args.prim_poly_u)
     chain = build_chain(ctx, _parse_targets(args.subspace_basis))
-    levels = _parse_levels(args.levels)
-    picked = range(ctx.u + 1) if levels is None else levels
+    picked = _pick_levels(args.levels, ctx.u)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for i in picked:
-        if not 0 <= i <= ctx.u:
-            raise ConfigError(f"level {i} out of range 0..{ctx.u}")
         code = extend_code(chain[i]) if args.extended else chain[i]
         graph = build_coset_graph(code)
         suffix = "_ext" if args.extended else ""
@@ -508,7 +503,7 @@ def cmd_conjecture(args) -> int:
     _validate_m(args.m, 8)
     reports = conjecture_report(
         args.m,
-        levels=_parse_levels(args.levels),
+        levels=_pick_levels(args.levels, args.m // 2),
         syndrome_targets=_parse_targets(args.subspace_basis),
     )
     rows = []

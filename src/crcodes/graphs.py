@@ -1,23 +1,23 @@
 """Coset graphs: construction, distance regularity, folding, covers.
 
-Vertices are packed syndromes and adjacency is syndrome XOR with the unit
-syndromes, so graphs are built without touching any codeword.  Distances
-come from a frontier BFS ran from every base vertex at once (boolean
-reachability through a float matmul); the distance matrix then drives the
-distance-regularity counts, the antipodal fibre partition, folding, and
-the cover checks.
+Vertices are packed syndromes and adjacency is XOR with the unit syndromes
+U, so a coset graph is the Cayley graph Cay(F_2^r, U).  Its translations are
+automorphisms, so dist(x, y) = w(x ^ y), where w, the coset weight, comes
+from one BFS from vertex 0, and the checks below read everything off w.
+Other graphs go through the same BFS and counts from every vertex.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .codes import LinearCode
-from .regularity import CosetTable, IntersectionArray, enumerate_cosets
+from .gf2 import gf2_rref
+from .regularity import IntersectionArray
 
 __all__ = [
     "CosetGraph",
@@ -28,7 +28,7 @@ __all__ = [
     "CoverArrayReport",
     "ZeroAppendReport",
     "build_coset_graph",
-    "all_distances",
+    "distances_from",
     "check_distance_regular",
     "check_antipodal",
     "fold",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _VERTEX_CAP = 1 << 14
+_SIX_BITS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -82,25 +83,37 @@ def build_coset_graph(code: LinearCode) -> CosetGraph:
     return CosetGraph(size, len(code.unit_syndromes), adj, tuple(code.unit_syndromes))
 
 
-def all_distances(graph) -> np.ndarray:
-    """Pairwise distance matrix; -1 marks unreachable pairs."""
-    v = graph.vertex_count
-    a = np.zeros((v, v), dtype=np.float32)
-    for x, row in enumerate(graph.neighbor_rows()):
-        a[x, list(row)] = 1.0
-    dist = np.full((v, v), -1, dtype=np.int16)
-    np.fill_diagonal(dist, 0)
-    reached = np.eye(v, dtype=bool)
-    frontier = np.eye(v, dtype=np.float32)
-    d = 0
-    while True:
-        new = ((frontier @ a) > 0) & ~reached
-        if not new.any():
-            return dist
-        d += 1
-        dist[new] = d
-        reached |= new
-        frontier = new.astype(np.float32)
+def _neighbour_array(graph) -> np.ndarray:
+    """Neighbour rows as one vertex_count x width integer array.
+
+    Short rows are padded with the vertex itself: a loop stays on the
+    vertex's own BFS level, so it changes neither the BFS nor the down/up
+    counts, and it is never an edge i < j.
+    """
+    rows = graph.neighbor_rows()
+    if isinstance(rows, np.ndarray):
+        return rows
+    width = max((len(row) for row in rows), default=0)
+    padded = [list(row) + [v] * (width - len(row)) for v, row in enumerate(rows)]
+    return np.array(padded, dtype=np.int64).reshape(len(rows), width)
+
+
+def distances_from(graph, base: int = 0) -> np.ndarray:
+    """BFS distance of every vertex from ``base`` (int16); -1 marks the
+    vertices it does not reach.  On a coset graph, from 0 this is the coset
+    weight w, and dist(x, y) = w(x ^ y)."""
+    adj = _neighbour_array(graph)
+    dist = np.full(graph.vertex_count, -1, dtype=np.int16)
+    dist[base] = 0
+    frontier = np.array([base])
+    level = 0
+    while frontier.size:
+        level += 1
+        seen = np.zeros(graph.vertex_count, dtype=bool)
+        seen[adj[frontier].ravel()] = True
+        frontier = np.flatnonzero(seen & (dist < 0))
+        dist[frontier] = level
+    return dist
 
 
 @dataclass(frozen=True)
@@ -112,50 +125,43 @@ class DRReport:
     witness: Optional[Dict[str, int]] = None
 
 
-def check_distance_regular(graph, dist: Optional[np.ndarray] = None) -> DRReport:
-    """Constant down/up neighbor counts per distance level, from every base."""
-    if dist is None:
-        dist = all_distances(graph)
-    if (dist < 0).any():
-        bad = int(np.argwhere(dist < 0)[0][1])
-        return DRReport(False, False, None, -1, {"unreachable_vertex": bad})
-    diameter = int(dist.max())
-    rows = graph.neighbor_rows()
-    adj = np.asarray(rows) if isinstance(rows, np.ndarray) else None
-    c_vals: List[Optional[int]] = [None] * (diameter + 1)
-    b_vals: List[Optional[int]] = [None] * (diameter + 1)
-    for base in range(graph.vertex_count):
-        drow = dist[base]
-        if adj is not None:
-            levels = drow[adj]
-            down = (levels == drow[:, None] - 1).sum(axis=1)
-            up = (levels == drow[:, None] + 1).sum(axis=1)
-        else:
-            down = np.array(
-                [sum(1 for t in rows[s] if drow[t] == drow[s] - 1)
-                 for s in range(graph.vertex_count)]
-            )
-            up = np.array(
-                [sum(1 for t in rows[s] if drow[t] == drow[s] + 1)
-                 for s in range(graph.vertex_count)]
-            )
-        for l in range(diameter + 1):
-            sel = drow == l
-            if not sel.any():
-                continue
-            cv, bv = down[sel], up[sel]
-            if c_vals[l] is None:
-                c_vals[l], b_vals[l] = int(cv[0]), int(bv[0])
-            if (cv != c_vals[l]).any() or (bv != b_vals[l]).any():
-                off = int(np.argwhere(sel)[((cv != c_vals[l]) | (bv != b_vals[l])).argmax()][0])
+def check_distance_regular(graph) -> DRReport:
+    """Constant down/up neighbour counts on every distance level.
+
+    A coset graph is checked from vertex 0 alone: its translations are
+    automorphisms, so every base gives the same counts.  Any other graph is
+    checked from every vertex.
+    """
+    bases = (0,) if isinstance(graph, CosetGraph) else range(graph.vertex_count)
+    return _distance_regular(graph, ((b, distances_from(graph, b)) for b in bases))
+
+
+def _distance_regular(graph, runs: Iterable[Tuple[int, np.ndarray]]) -> DRReport:
+    """Compare the down/up counts of each (base, BFS distances) run with the
+    first value seen on each level."""
+    adj = _neighbour_array(graph)
+    c_vals: List[int] = []
+    b_vals: List[int] = []
+    for base, dist in runs:
+        if (dist < 0).any():
+            return DRReport(False, False, None, -1,
+                            {"unreachable_vertex": int(np.argmax(dist < 0))})
+        near = dist[adj]
+        down = (near == dist[:, None] - 1).sum(axis=1)
+        up = (near == dist[:, None] + 1).sum(axis=1)
+        for level in range(int(dist.max()) + 1):
+            sel = np.flatnonzero(dist == level)
+            if level == len(c_vals):
+                c_vals.append(int(down[sel[0]]))
+                b_vals.append(int(up[sel[0]]))
+            bad = (down[sel] != c_vals[level]) | (up[sel] != b_vals[level])
+            if bad.any():
                 return DRReport(
-                    True, False, None, diameter,
-                    {"base": base, "vertex": off, "level": l},
+                    True, False, None, len(c_vals) - 1,
+                    {"base": base, "vertex": int(sel[bad.argmax()]), "level": level},
                 )
-    array = IntersectionArray(
-        b=tuple(b_vals[l] for l in range(diameter)),  # type: ignore[misc]
-        c=tuple(c_vals[l] for l in range(1, diameter + 1)),  # type: ignore[misc]
-    )
+    diameter = len(c_vals) - 1
+    array = IntersectionArray(b=tuple(b_vals[:diameter]), c=tuple(c_vals[1:]))
     return DRReport(True, True, array, diameter)
 
 
@@ -168,55 +174,56 @@ class AntipodalReport:
     witness: Optional[Dict[str, int]] = None
 
 
-def check_antipodal(graph, dist: Optional[np.ndarray] = None) -> AntipodalReport:
-    """Is being at maximum distance (or equal) an equivalence relation with
-    equal class sizes?  Diameter below 3 is reported not applicable."""
-    if dist is None:
-        dist = all_distances(graph)
-    diameter = int(dist.max())
+def check_antipodal(graph: CosetGraph) -> AntipodalReport:
+    """Is being at maximum distance (or equal) an equivalence relation on
+    this coset graph?  Diameter below 3 is reported not applicable.
+
+    x and y are related iff x ^ y lies in A = {0} + {s : w(s) = D}, so the
+    relation is an equivalence iff A is closed under XOR, and its classes
+    are then the cosets x ^ A, all of one size.
+    """
+    return _antipodal(distances_from(graph))
+
+
+def _antipodal(weights: np.ndarray) -> AntipodalReport:
+    diameter = int(weights.max())
     if diameter < 3:
         return AntipodalReport(False, False, 0, None)
-    at_max = dist == diameter
-    fibres: List[Tuple[int, ...]] = []
-    owner = [-1] * graph.vertex_count
-    for v in range(graph.vertex_count):
-        if owner[v] >= 0:
-            continue
-        block = (v,) + tuple(int(w) for w in np.flatnonzero(at_max[v]))
-        for x in block:
-            for y in block:
-                if x != y and dist[x, y] != diameter:
-                    return AntipodalReport(
-                        True, False, 0, None, {"u": x, "w": y, "d": int(dist[x, y])}
-                    )
-            if owner[x] >= 0:
-                return AntipodalReport(True, False, 0, None, {"u": x, "w": v, "d": -1})
-            owner[x] = len(fibres)
-        fibres.append(block)
-    sizes = {len(b) for b in fibres}
-    if len(sizes) != 1:
-        return AntipodalReport(True, False, 0, None, {"u": -1, "w": -1, "d": -1})
-    return AntipodalReport(True, True, sizes.pop(), tuple(fibres))
+    in_a = (weights == 0) | (weights == diameter)
+    members = np.flatnonzero(in_a)
+    for g in members:
+        bad = ~in_a[members ^ g]
+        if bad.any():
+            y = int(members[bad.argmax()])
+            return AntipodalReport(True, False, 0, None,
+                                   {"u": int(g), "w": y, "d": int(weights[g ^ y])})
+    # the smallest vertex of each coset x ^ A is the one with no bit at any
+    # leading bit of A, so listing those in order lists the fibres by their
+    # smallest vertex
+    heads = 0
+    for s in members[1:]:
+        heads |= 1 << (int(s).bit_length() - 1)
+    smallest = np.flatnonzero((np.arange(len(weights)) & heads) == 0)
+    fibres = np.sort(smallest[:, None] ^ members[None, :], axis=1)
+    return AntipodalReport(True, True, len(members), tuple(map(tuple, fibres.tolist())))
 
 
 def fold(graph, fibres: Sequence[Sequence[int]]) -> FoldedGraph:
     """Quotient on the fibre partition; blocks adjacent when any edge crosses."""
-    block_of = [-1] * graph.vertex_count
+    blocks = len(fibres)
+    block_of = np.full(graph.vertex_count, -1, dtype=np.int64)
     for i, block in enumerate(fibres):
-        for v in block:
-            block_of[v] = i
-    if min(block_of) < 0:
+        block_of[list(block)] = i
+    if (block_of < 0).any():
         raise ValueError("fibres do not cover the vertex set")
-    nbr: List[set] = [set() for _ in fibres]
-    for v, row in enumerate(graph.neighbor_rows()):
-        bv = block_of[v]
-        for w in row:
-            bw = block_of[w]
-            if bw != bv:
-                nbr[bv].add(bw)
+    pairs = np.unique(block_of[:, None] * blocks + block_of[_neighbour_array(graph)])
+    src, dst = np.divmod(pairs, blocks)
+    crossing = src != dst
+    src, dst = src[crossing], dst[crossing]
+    rows = np.split(dst, np.cumsum(np.bincount(src, minlength=blocks))[:-1])
     return FoldedGraph(
-        len(fibres),
-        tuple(tuple(sorted(s)) for s in nbr),
+        blocks,
+        tuple(tuple(row.tolist()) for row in rows),
         len(fibres[0]),
     )
 
@@ -239,7 +246,6 @@ def verify_cover(
     coarse_graph: CosetGraph,
     fine_code: LinearCode,
     coarse_code: LinearCode,
-    fine_table: Optional[CosetTable] = None,
 ) -> CoverReport:
     """Project fine cosets onto the coarse code's cosets and verify the
     projection is a covering map: constant fibres and a bijection between
@@ -247,26 +253,26 @@ def verify_cover(
     for row in fine_code.generator_rows:
         if not coarse_code.contains(row):
             raise ValueError("fine code is not contained in the coarse code")
-    if fine_table is None:
-        fine_table = enumerate_cosets(fine_code, with_distributions=False)
-    proj = tuple(
-        coarse_code.syndrome(fine_table.leader_of(s))
-        for s in range(fine_graph.vertex_count)
+    # fine lies in coarse, so the fine syndrome fixes the coarse one through
+    # a linear map.  Rows fine | coarse << r of the unit syndromes reduce to
+    # e_k | L(e_k) << r, and L acts on all 2^r syndromes bit-plane by bit-plane.
+    width = fine_code.syndrome_width
+    rows, _ = gf2_rref(
+        (f | c << width for f, c in zip(fine_code.unit_syndromes, coarse_code.unit_syndromes)),
+        width + coarse_code.syndrome_width,
     )
-    counts: Dict[int, int] = {}
-    for image in proj:
-        counts[image] = counts.get(image, 0) + 1
+    syn = np.arange(fine_graph.vertex_count, dtype=np.int64)
+    proj = np.zeros_like(syn)
+    for k, row in enumerate(rows[:width]):
+        proj ^= ((syn >> k) & 1) * (row >> width)
     expected = fine_graph.vertex_count // coarse_graph.vertex_count
-    constant = (
-        len(counts) == coarse_graph.vertex_count
-        and set(counts.values()) == {expected}
-    )
-    proj_arr = np.array(proj, dtype=np.int64)
-    images = np.sort(proj_arr[fine_graph.adjacency], axis=1)
-    targets = coarse_graph.adjacency[proj_arr]
+    counts = np.bincount(proj, minlength=coarse_graph.vertex_count)
+    constant = bool((counts == expected).all())
+    images = np.sort(proj[fine_graph.adjacency], axis=1)
+    targets = coarse_graph.adjacency[proj]
     ok_rows = (images == targets).all(axis=1)
     witness = None if ok_rows.all() else int(np.flatnonzero(~ok_rows)[0])
-    return CoverReport(expected, constant, witness is None, proj, witness)
+    return CoverReport(expected, constant, witness is None, tuple(proj.tolist()), witness)
 
 
 @dataclass(frozen=True)
@@ -278,29 +284,24 @@ class CoverArrayReport:
     fibre_size: int
 
 
-def verify_antipodal_cover_array(graph, dist: Optional[np.ndarray] = None) -> CoverArrayReport:
+def verify_antipodal_cover_array(graph: CosetGraph) -> CoverArrayReport:
     """For a diameter-3 antipodal cover of a complete graph, the array must
     be (N-1, (r-1)c2, 1; 1, c2, N-1) with the graph's own c2."""
-    if dist is None:
-        dist = all_distances(graph)
-    dr = check_distance_regular(graph, dist)
+    weights = distances_from(graph)
+    dr = _distance_regular(graph, [(0, weights)])
     if not dr.distance_regular or dr.diameter != 3:
         return CoverArrayReport(False, None, dr.array, 0, 0)
-    anti = check_antipodal(graph, dist)
+    anti = _antipodal(weights)
     if not anti.antipodal:
         return CoverArrayReport(False, None, dr.array, 0, 0)
     folded = fold(graph, anti.fibres)
     if not folded.is_complete:
         return CoverArrayReport(False, None, dr.array, folded.vertex_count, anti.fibre_size)
-    n_folded = folded.vertex_count
-    r = anti.fibre_size
-    c2 = dr.array.c[1]
+    n_folded, r, c2 = folded.vertex_count, anti.fibre_size, dr.array.c[1]
     expected = IntersectionArray(
         b=(n_folded - 1, (r - 1) * c2, 1), c=(1, c2, n_folded - 1)
     )
-    return CoverArrayReport(
-        True, dr.array == expected, dr.array, n_folded, r
-    )
+    return CoverArrayReport(True, dr.array == expected, dr.array, n_folded, r)
 
 
 @dataclass(frozen=True)
@@ -380,18 +381,15 @@ def _graph6_bytes(graph) -> bytes:
         out.append(((v >> 12) & 63) + 63)
         out.append(((v >> 6) & 63) + 63)
         out.append((v & 63) + 63)
-    rows = [set(map(int, row)) for row in graph.neighbor_rows()]
-    bits = []
-    for j in range(1, v):
-        for i in range(j):
-            bits.append(1 if j in rows[i] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for k in range(0, len(bits), 6):
-        chunk = 0
-        for bit in bits[k : k + 6]:
-            chunk = chunk << 1 | bit
-        out.append(chunk + 63)
+    adj = _neighbour_array(graph)
+    src = np.repeat(np.arange(v, dtype=np.int64), adj.shape[1])
+    dst = adj.ravel()
+    edge = src < dst
+    i, j = src[edge], dst[edge]
+    # bit j(j-1)/2 + i of the upper triangle, column by column, padded to 6
+    bits = np.zeros(-(-(v * (v - 1) // 2) // 6) * 6, dtype=np.uint8)
+    bits[j * (j - 1) // 2 + i] = 1
+    out += (bits.reshape(-1, 6) @ _SIX_BITS + 63).tobytes()
     return bytes(out)
 
 

@@ -19,7 +19,6 @@ from crcodes.codes import (
 from crcodes.field import quad_sum
 from crcodes.gf2 import gf2_span
 from crcodes.graphs import (
-    all_distances,
     build_coset_graph,
     check_antipodal,
     check_distance_regular,
@@ -249,40 +248,39 @@ def test_criterion_08_complete_transitivity(chain4, tables4, chain6, tables6):
            problems, elapsed)
 
 
-def test_criterion_09_graph_suite(chain4, tables4, chain6, tables6):
+def test_criterion_09_graph_suite(chain4, chain6):
     t0 = time.perf_counter()
     problems = []
-    for m, chain, tables in ((4, chain4, tables4), (6, chain6, tables6)):
+    for m, chain in ((4, chain4), (6, chain6)):
         u = m // 2
-        graphs, dists = {}, {}
+        graphs = {}
         for i in range(u + 1):
             for ext in (False, True):
                 code = extend_code(chain[i]) if ext else chain[i]
                 graphs[i, ext] = build_coset_graph(code)
-                dists[i, ext] = all_distances(graphs[i, ext])
         for i in range(u + 1):
-            rep = check_distance_regular(graphs[i, False], dists[i, False])
+            rep = check_distance_regular(graphs[i, False])
             if not (rep.connected and rep.distance_regular
                     and rep.array == cria_array(m, i)
                     and rep.diameter == (1 if i == 0 else 3)):
                 problems.append(f"m={m} i={i}: D={rep.diameter} array={rep.array}")
-            rep_ext = check_distance_regular(graphs[i, True], dists[i, True])
+            rep_ext = check_distance_regular(graphs[i, True])
             if i > 0 and not (rep_ext.distance_regular and rep_ext.diameter == 4
                               and rep_ext.array == extended_cria_array(m, i)):
                 problems.append(f"m={m} i={i} extended: D={rep_ext.diameter}")
             if i > 0:
-                anti = check_antipodal(graphs[i, False], dists[i, False])
+                anti = check_antipodal(graphs[i, False])
                 if not (anti.antipodal and anti.fibre_size == 1 << i):
                     problems.append(f"m={m} i={i}: fibre {anti.fibre_size}")
                 elif not fold(graphs[i, False], anti.fibres).is_complete:
                     problems.append(f"m={m} i={i}: fold is not complete")
-                shape = verify_antipodal_cover_array(graphs[i, False], dists[i, False])
+                shape = verify_antipodal_cover_array(graphs[i, False])
                 if not (shape.applicable and shape.matches):
                     problems.append(f"m={m} i={i}: cover array {shape.array}")
         for i in range(1, u + 1):
             for j in range(i):
                 cover = verify_cover(graphs[i, False], graphs[j, False],
-                                     chain[i], chain[j], tables[i])
+                                     chain[i], chain[j])
                 if not (cover.verdict and cover.fibre_size == 1 << (i - j)):
                     problems.append(f"m={m} {i}->{j}: fibre {cover.fibre_size}")
     elapsed = time.perf_counter() - t0

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -97,11 +98,23 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
         ["export", "--m", "4", "--levels", "7"],
         ["no-such-command"],
         ["verify", "--bogus-flag"],
+        ["verify", "--m", "4", "--suite", "duals", "--threads", "0"],
+        ["verify", "--m", "4", "--suite", "duals", "--threads", "-3"],
+        ["conjecture", "--m", "6", "--levels", "7"],
     ],
 )
 def test_config_errors_exit_3(capsys, argv):
     code = cli.main(argv)
     assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "export"])
+def test_bad_level_writes_no_file(capsys, tmp_path, command):
+    code = cli.main([command, "--m", "4", "--levels", "0,9", "--out", str(tmp_path)])
+    assert code == 3
+    assert "level 9" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_writes_descriptor_files(capsys, tmp_path):
@@ -191,3 +204,14 @@ def test_console_entry_point():
     )
     assert proc.returncode == 3
     assert "error:" in proc.stderr
+
+
+def test_verify_m8_graph_suites(capsys):
+    t0 = time.perf_counter()
+    code, report = run_json(capsys, ["verify", "--m", "8", "--suite", "graph,cover"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert report["summary"] == {
+        "checks": 46, "passed": 46, "failed": 0, "verdict": "pass",
+    }
+    assert elapsed < 60.0, f"m=8 graph and cover suites took {elapsed:.1f}s"

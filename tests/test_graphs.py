@@ -6,11 +6,11 @@ import pytest
 from crcodes.codes import extend_code
 from crcodes.graphs import (
     FoldedGraph,
-    all_distances,
     build_coset_graph,
     check_antipodal,
     check_distance_regular,
     check_zero_append_subgraph,
+    distances_from,
     export_graph,
     fold,
     parse_graph6,
@@ -18,10 +18,63 @@ from crcodes.graphs import (
     verify_antipodal_cover_array,
 )
 from crcodes.regularity import (
+    IntersectionArray,
     cria_array,
-    enumerate_cosets,
     extended_cria_array,
 )
+
+
+def dense_distances(graph):
+    """All-pairs BFS distances by boolean matrix products, from every base
+    at once; -1 marks unreachable pairs.  Reference for the Cayley checks."""
+    v = graph.vertex_count
+    adj = np.zeros((v, v), dtype=np.float32)
+    for x, row in enumerate(graph.neighbor_rows()):
+        adj[x, list(row)] = 1.0
+    dist = np.full((v, v), -1, dtype=np.int16)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(v, dtype=bool)
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = ((frontier.astype(np.float32) @ adj) > 0) & (dist < 0)
+        dist[frontier] = d
+    return dist, adj
+
+
+def dense_array(dist, adj):
+    """Intersection array read off every pair, or None when a count varies."""
+    diameter = int(dist.max())
+    at = [(dist == l).astype(np.float32) for l in range(diameter + 1)]
+    b, c = [], []
+    for l in range(diameter + 1):
+        pairs = dist == l
+        down = (at[l - 1] @ adj)[pairs] if l else np.zeros(1)
+        up = (at[l + 1] @ adj)[pairs] if l < diameter else np.zeros(1)
+        if down.min() != down.max() or up.min() != up.max():
+            return None
+        b.append(int(up[0]))
+        c.append(int(down[0]))
+    return IntersectionArray(tuple(b[:-1]), tuple(c[1:]))
+
+
+def dense_fibres(dist):
+    """Classes of 'equal or at maximum distance' when that relation is
+    transitive, else None."""
+    related = (dist == 0) | (dist == dist.max())
+    linked = related.astype(np.float32) @ related.astype(np.float32) > 0
+    if (linked != related).any():
+        return None
+    return {tuple(np.flatnonzero(row)) for row in related}
+
+
+def cayley(width, units):
+    """Coset-style graph on F_2^width with the given connection set."""
+    class Units:
+        syndrome_width = width
+        unit_syndromes = tuple(units)
+
+    return build_coset_graph(Units())
 
 
 @pytest.fixture(scope="module")
@@ -31,17 +84,12 @@ def graphs4(chain4):
 
 @pytest.fixture(scope="module")
 def dists4(graphs4):
-    return [all_distances(g) for g in graphs4]
+    return [dense_distances(g)[0] for g in graphs4]
 
 
 @pytest.fixture(scope="module")
 def graphs6(chain6):
     return [build_coset_graph(c) for c in chain6]
-
-
-@pytest.fixture(scope="module")
-def dists6(graphs6):
-    return [all_distances(g) for g in graphs6]
 
 
 def test_build_basics(chain4, chain6, graphs4):
@@ -66,23 +114,23 @@ def test_vertex_cap():
 
 
 def test_hamming_graph_is_complete(graphs4, dists4):
-    rep = check_distance_regular(graphs4[0], dists4[0])
+    rep = check_distance_regular(graphs4[0])
     assert rep.distance_regular and rep.diameter == 1
     assert rep.array == cria_array(4, 0)
     assert (dists4[0][~np.eye(16, dtype=bool)] == 1).all()
 
 
-def test_distance_regular_m4(graphs4, dists4):
+def test_distance_regular_m4(graphs4):
     for i in (1, 2):
-        rep = check_distance_regular(graphs4[i], dists4[i])
+        rep = check_distance_regular(graphs4[i])
         assert rep.connected and rep.distance_regular
         assert rep.diameter == 3
         assert rep.array == cria_array(4, i)
 
 
-def test_distance_regular_m6(graphs6, dists6):
-    for i, (g, d) in enumerate(zip(graphs6, dists6)):
-        rep = check_distance_regular(g, d)
+def test_distance_regular_m6(graphs6):
+    for i, g in enumerate(graphs6):
+        rep = check_distance_regular(g)
         assert rep.connected and rep.distance_regular
         assert rep.diameter == (1 if i == 0 else 3)
         assert rep.array == cria_array(6, i)
@@ -92,12 +140,11 @@ def test_extended_graphs_m4(chain4):
     for i, code in enumerate(chain4):
         star = extend_code(code)
         g = build_coset_graph(star)
-        d = all_distances(g)
-        rep = check_distance_regular(g, d)
+        rep = check_distance_regular(g)
         assert rep.distance_regular
         assert rep.diameter == (2 if i == 0 else 4)
         assert rep.array == extended_cria_array(4, i)
-        anti = check_antipodal(g, d)
+        anti = check_antipodal(g)
         if i == 0:
             assert not anti.applicable
         else:
@@ -108,18 +155,47 @@ def test_extended_graphs_m4(chain4):
 def test_extended_graph_m6_deepest(chain6):
     star = extend_code(chain6[3])
     g = build_coset_graph(star)
-    d = all_distances(g)
-    rep = check_distance_regular(g, d)
+    rep = check_distance_regular(g)
     assert rep.distance_regular and rep.diameter == 4
     assert rep.array == extended_cria_array(6, 3)
-    anti = check_antipodal(g, d)
+    anti = check_antipodal(g)
     assert anti.antipodal and anti.fibre_size == 8
 
 
-def test_graph_distance_is_coset_weight(chain6, graphs6, dists6, tables6):
-    for table, dist in zip(tables6, dists6):
+def test_graph_distance_is_coset_weight(chain6, graphs6, tables6):
+    for table, g in zip(tables6, graphs6):
+        weights = distances_from(g)
         for rec in table.records:
-            assert dist[0, rec.syndrome] == rec.weight
+            assert weights[rec.syndrome] == rec.weight
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_dense_oracle_agrees(request, m):
+    for code in request.getfixturevalue(f"chain{m}"):
+        for g in (build_coset_graph(code), build_coset_graph(extend_code(code))):
+            dist, adj = dense_distances(g)
+            weights = distances_from(g)
+            v = np.arange(g.vertex_count)
+            assert (dist == weights[v[:, None] ^ v[None, :]]).all()
+            rep = check_distance_regular(g)
+            assert rep.diameter == dist.max()
+            assert rep.array == dense_array(dist, adj) is not None
+            anti = check_antipodal(g)
+            if anti.applicable:
+                assert anti.antipodal and set(anti.fibres) == dense_fibres(dist)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_networkx_intersection_arrays(request, m):
+    nx = pytest.importorskip("networkx")
+    for code in request.getfixturevalue(f"chain{m}"):
+        for g in (build_coset_graph(code), build_coset_graph(extend_code(code))):
+            rows = parse_graph6(export_graph(g, "graph6"))
+            other = nx.Graph()
+            other.add_nodes_from(range(len(rows)))
+            other.add_edges_from((v, w) for v, row in enumerate(rows) for w in row)
+            b, c = nx.intersection_array(other)
+            assert check_distance_regular(g).array == IntersectionArray(tuple(b), tuple(c))
 
 
 def test_non_regular_graph_witnessed():
@@ -136,25 +212,61 @@ def test_disconnected_graph_witnessed():
     assert "unreachable_vertex" in rep.witness
 
 
-def test_antipodal_m4(graphs4, dists4, tables4):
+def test_cayley_disconnected_witnessed():
+    g = cayley(3, (1, 2))  # the units span only the vertices 0..3
+    rep = check_distance_regular(g)
+    assert not rep.connected and not rep.distance_regular
+    assert rep.witness == {"unreachable_vertex": 4}
+    assert (dense_distances(g)[0] < 0).any()
+
+
+def test_cayley_non_regular_witnessed():
+    g = cayley(3, (1, 2, 3, 4))
+    rep = check_distance_regular(g)
+    assert rep.connected and not rep.distance_regular
+    assert rep.witness == {"base": 0, "vertex": 4, "level": 1}
+    # vertices 1 and 4 lie on level 1 with 1 and 3 neighbours on level 2
+    weights = distances_from(g)
+    assert [int((weights[g.adjacency[v]] == 2).sum()) for v in (1, 4)] == [1, 3]
+    assert dense_array(*dense_distances(g)) is None
+
+
+def test_cayley_non_antipodal_witnessed():
+    # the folded 7-cube is distance-regular of diameter 3, but its vertices at
+    # distance 3 from 0 (weights 3 and 4 in F_2^6) and 0 are 36, no subgroup
+    g = cayley(6, (1, 2, 4, 8, 16, 32, 63))
+    rep = check_distance_regular(g)
+    assert rep.distance_regular
+    assert rep.array == IntersectionArray((7, 6, 5), (1, 2, 3))
+    anti = check_antipodal(g)
+    assert anti.applicable and not anti.antipodal
+    weights = distances_from(g)
+    u, w, d = (anti.witness[k] for k in ("u", "w", "d"))
+    assert weights[u] == weights[w] == 3 and weights[u ^ w] == d
+    assert d not in (0, 3)
+    assert dense_fibres(dense_distances(g)[0]) is None
+    assert not verify_antipodal_cover_array(g).applicable
+
+
+def test_antipodal_m4(graphs4, tables4):
     for i in (1, 2):
-        anti = check_antipodal(graphs4[i], dists4[i])
+        anti = check_antipodal(graphs4[i])
         assert anti.applicable and anti.antipodal
         assert anti.fibre_size == 1 << i
         covered = sorted(v for block in anti.fibres for v in block)
         assert covered == list(range(graphs4[i].vertex_count))
     # the zero fibre is the zero coset plus every deepest coset
-    anti2 = check_antipodal(graphs4[2], dists4[2])
+    anti2 = check_antipodal(graphs4[2])
     zero_block = next(b for b in anti2.fibres if 0 in b)
     weights = sorted(tables4[2].weight_of(s) for s in zero_block)
     assert weights == [0, 3, 3, 3]
-    assert not check_antipodal(graphs4[0], dists4[0]).applicable
+    assert not check_antipodal(graphs4[0]).applicable
 
 
-def test_fold_to_complete(graphs4, dists4, graphs6, dists6):
-    for graphs, dists, m in ((graphs4, dists4, 4), (graphs6, dists6, 6)):
+def test_fold_to_complete(graphs4, graphs6):
+    for graphs, m in ((graphs4, 4), (graphs6, 6)):
         for i in range(1, len(graphs)):
-            anti = check_antipodal(graphs[i], dists[i])
+            anti = check_antipodal(graphs[i])
             folded = fold(graphs[i], anti.fibres)
             assert folded.vertex_count == 1 << m
             assert folded.is_complete
@@ -175,21 +287,27 @@ def test_fold_rejects_partial_fibres(graphs4):
 def test_covers_m4(chain4, graphs4, tables4):
     for i in range(1, 3):
         for j in range(i):
-            rep = verify_cover(
-                graphs4[i], graphs4[j], chain4[i], chain4[j], tables4[i]
-            )
+            rep = verify_cover(graphs4[i], graphs4[j], chain4[i], chain4[j])
             assert rep.verdict
             assert rep.fibre_size == 1 << (i - j)
+            # the linear projection agrees with the coarse syndrome of each
+            # fine coset leader
+            assert rep.projection == tuple(
+                chain4[j].syndrome(tables4[i].leader_of(s))
+                for s in range(graphs4[i].vertex_count)
+            )
 
 
 def test_covers_m6_and_composition(chain6, graphs6, tables6):
     projs = {}
     for i in range(1, 4):
         for j in range(i):
-            rep = verify_cover(
-                graphs6[i], graphs6[j], chain6[i], chain6[j], tables6[i]
-            )
+            rep = verify_cover(graphs6[i], graphs6[j], chain6[i], chain6[j])
             assert rep.verdict and rep.fibre_size == 1 << (i - j)
+            assert rep.projection == tuple(
+                chain6[j].syndrome(tables6[i].leader_of(s))
+                for s in range(graphs6[i].vertex_count)
+            )
             projs[i, j] = rep.projection
     for s in range(graphs6[3].vertex_count):
         assert projs[3, 1][s] == projs[2, 1][projs[3, 2][s]]
@@ -210,13 +328,13 @@ def test_cover_rejects_non_nested(chain4, graphs4):
         verify_cover(graphs4[1], graphs4[2], chain4[1], chain4[2])
 
 
-def test_antipodal_cover_array(graphs4, dists4, graphs6, dists6):
-    for graphs, dists in ((graphs4, dists4), (graphs6, dists6)):
+def test_antipodal_cover_array(graphs4, graphs6):
+    for graphs in (graphs4, graphs6):
         for i in range(1, len(graphs)):
-            rep = verify_antipodal_cover_array(graphs[i], dists[i])
+            rep = verify_antipodal_cover_array(graphs[i])
             assert rep.applicable and rep.matches
             assert rep.fibre_size == 1 << i
-    k16 = verify_antipodal_cover_array(graphs4[0], dists4[0])
+    k16 = verify_antipodal_cover_array(graphs4[0])
     assert not k16.applicable
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .codes import build_chain, dual_spectrum, extend_code, save_code
-from .field import build_field_context, quad_sum
+from .codes import build_chain, check_membership, dual_spectrum, extend_code, save_code
+from .field import build_field_context
 from .graphs import (
     build_coset_graph,
     check_antipodal,
@@ -30,18 +30,16 @@ from .graphs import (
     verify_antipodal_cover_array,
 )
 from .regularity import (
+    check_design,
     cria_array,
     design_lambda,
     enumerate_cosets,
     extended_cria_array,
-    extended_weight4_codewords,
     verify_completely_regular,
-    verify_design,
     verify_extended_array,
     verify_extension_condition,
     verify_mu_identity,
     verify_uniformly_packed,
-    weight3_codewords,
 )
 from .transitivity import (
     certify_transitivity,
@@ -155,7 +153,6 @@ def suite_cr(ws: Workspace, m: int, rng: random.Random, exhaustive: bool) -> Lis
         out.append(_check("mu-identity", m, i, False, mu_rep.ok,
                           "b_l*mu_l = c_(l+1)*mu_(l+1)", f"mu={mu_rep.mu}", t0))
     top = chain[-1]
-    ctx = ws.ctx(m)
     t0 = time.perf_counter()
     if exhaustive and m == 4:
         vectors = range(1 << top.length)
@@ -164,18 +161,8 @@ def suite_cr(ws: Workspace, m: int, rng: random.Random, exhaustive: bool) -> Lis
         count = 100_000
         vectors = (rng.getrandbits(top.length) for _ in range(count))
         label = f"{count} random vectors"
-    ok = True
-    for v in vectors:
-        h = 0
-        w = v
-        while w:
-            p = (w & -w).bit_length() - 1
-            h ^= ctx.gm.exp[p]
-            w &= w - 1
-        if top.contains(v) != (h == 0 and quad_sum(ctx, v) == 0):
-            ok = False
-            break
-    out.append(_check("membership-syndrome", m, ctx.u, False, ok,
+    ok = check_membership(top, vectors)
+    out.append(_check("membership-syndrome", m, top.level, False, ok,
                       "parity membership = zero field sum and zero weight sum",
                       label, t0))
     return out
@@ -219,20 +206,17 @@ def suite_designs(ws: Workspace, m: int) -> List[Check]:
     for i, code in enumerate(ws.chain(m)):
         lam = design_lambda(m, i)
         t0 = time.perf_counter()
-        words = weight3_codewords(code)
-        rep = verify_design(words, n, 3, 1)
+        rep = check_design(code)
         out.append(_check("design-weight3", m, i, False,
                           rep.ok and rep.lam == lam,
                           f"T({n},3,1,{lam})",
-                          f"{len(words)} blocks, lambda={rep.lam}", t0))
+                          f"{rep.blocks} blocks, lambda={rep.lam}", t0))
         t0 = time.perf_counter()
-        star = ws.code(m, i, ext=True)
-        words4 = extended_weight4_codewords(star)
-        rep4 = verify_design(words4, n + 1, 4, 2)
+        rep4 = check_design(ws.code(m, i, ext=True))
         out.append(_check("design-weight4", m, i, True,
                           rep4.ok and rep4.lam == lam,
                           f"T({n + 1},4,2,{lam})",
-                          f"{len(words4)} blocks, lambda={rep4.lam}", t0))
+                          f"{rep4.blocks} blocks, lambda={rep4.lam}", t0))
     return out
 
 
@@ -505,6 +489,8 @@ def cmd_conjecture(args) -> int:
         args.m,
         levels=_pick_levels(args.levels, args.m // 2),
         syndrome_targets=_parse_targets(args.subspace_basis),
+        poly_m=args.prim_poly_m,
+        poly_u=args.prim_poly_u,
     )
     rows = []
     for rep in reports:
@@ -540,10 +526,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="primitive polynomial for the big field (int, 0x.. ok)")
     parser.add_argument("--prim-poly-u", type=lambda s: int(s, 0), default=None,
                         help="primitive polynomial for the subfield")
-    parser.add_argument("--out", default=".", help="output directory")
+
+
+def _add_levels(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--levels", help="comma-separated level list, default all")
-    parser.add_argument("--extended", action="store_true",
-                        help="extended codes (build/export: emit them; verify: only them)")
+
+
+def _add_file_output(parser: argparse.ArgumentParser) -> None:
+    _add_levels(parser)
+    parser.add_argument("--extended", action="store_true", help="emit the extended codes")
+    parser.add_argument("--out", default=".", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,6 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--m", type=int, required=True)
     p_build.add_argument("--format", choices=("text", "json"), default="text")
     _add_common(p_build)
+    _add_file_output(p_build)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--m", type=int, default=None,
@@ -565,17 +558,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="replace sampling with exhaustive checks where feasible")
     p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    p_verify.add_argument("--extended", action="store_true",
+                          help="report only the checks of extended codes")
     _add_common(p_verify)
 
     p_export = sub.add_parser("export", help="write coset graphs to files")
     p_export.add_argument("--m", type=int, required=True)
     p_export.add_argument("--format", choices=tuple(_EXPORT_EXT), default="graph6")
     _add_common(p_export)
+    _add_file_output(p_export)
 
     p_conj = sub.add_parser("conjecture", help="transitivity survey per level")
     p_conj.add_argument("--m", type=int, required=True)
     p_conj.add_argument("--format", choices=("text", "json"), default="text")
     _add_common(p_conj)
+    _add_levels(p_conj)
     return parser
 
 

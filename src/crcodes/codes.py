@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .field import FieldContext, PRIM_POLYS, build_field_context
 from .gf2 import bit_support, gf2_nullspace, gf2_rank, gf2_rref, gf2_span
@@ -33,6 +35,7 @@ __all__ = [
     "build_base_code",
     "build_chain",
     "membership",
+    "check_membership",
     "count_codes_at_level",
     "count_full_chains",
     "extend_code",
@@ -210,6 +213,43 @@ class LinearCode:
 def membership(v: int, code: LinearCode) -> bool:
     """True iff v (an int bit vector of the code's length) is a codeword."""
     return code.contains(v)
+
+
+def _support_xor(values: Sequence[int], packed: np.ndarray) -> np.ndarray:
+    """XOR of values[p] over the support of each row of packed vectors.
+
+    Row t of ``packed`` holds one vector as little-endian bytes, so bit k of
+    byte j is position 8j + k.  Byte j contributes entry [j, byte] of a
+    256-entry table of XORs over that byte's eight positions.
+    """
+    nbytes = packed.shape[1]
+    per_bit = np.zeros(nbytes * 8, dtype=np.int64)
+    per_bit[:len(values)] = values
+    table = np.zeros((nbytes, 256), dtype=np.int64)
+    for k in range(8):
+        table[:, 1 << k:2 << k] = table[:, :1 << k] ^ per_bit[k::8, None]
+    acc = np.zeros(len(packed), dtype=np.int64)
+    for j in range(nbytes):
+        acc ^= table[j, packed[:, j]]
+    return acc
+
+
+def check_membership(code: LinearCode, vectors: Iterable[int]) -> bool:
+    """Is every vector a codeword exactly when its field sum and its weight
+    sum (quad_sum) are both zero?  Vectors are ints of the code's length."""
+    if code.extended:
+        raise ValueError("the membership check is about unextended codes")
+    nbytes = -(-code.length // 8)
+    buf = bytearray()
+    for v in vectors:
+        buf += v.to_bytes(nbytes, "little")
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
+    if (packed[:, -1] >> (code.length - 8 * (nbytes - 1))).any():
+        raise ValueError(f"vector does not have length {code.length}")
+    syn = _support_xor(code.unit_syndromes, packed)
+    field_sum = _support_xor(code.ctx.gm.exp, packed)
+    weight_sum = _support_xor(code.ctx.qterm, packed)
+    return bool(np.all((syn == 0) == ((field_sum == 0) & (weight_sum == 0))))
 
 
 def build_base_code(ctx: FieldContext) -> LinearCode:

@@ -36,7 +36,6 @@ __all__ = [
     "verify_antipodal_cover_array",
     "check_zero_append_subgraph",
     "export_graph",
-    "parse_graph6",
 ]
 
 _VERTEX_CAP = 1 << 14
@@ -391,31 +390,6 @@ def _graph6_bytes(graph) -> bytes:
     bits[j * (j - 1) // 2 + i] = 1
     out += (bits.reshape(-1, 6) @ _SIX_BITS + 63).tobytes()
     return bytes(out)
-
-
-def parse_graph6(data: bytes) -> List[Tuple[int, ...]]:
-    """Adjacency lists from a graph6 byte string."""
-    data = data.strip()
-    pos = 0
-    if data[pos] == 126:
-        v = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        pos = 4
-    else:
-        v = data[pos] - 63
-        pos = 1
-    bits = []
-    for byte in data[pos:]:
-        val = byte - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    nbr: List[set] = [set() for _ in range(v)]
-    idx = 0
-    for j in range(1, v):
-        for i in range(j):
-            if bits[idx]:
-                nbr[i].add(j)
-                nbr[j].add(i)
-            idx += 1
-    return [tuple(sorted(s)) for s in nbr]
 
 
 def export_graph(graph, fmt: str) -> bytes:

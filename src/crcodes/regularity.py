@@ -5,6 +5,8 @@ coset space is the dense range [0, 2^(n-k)).  Coset weights come from a BFS
 over syndromes (neighbors differ by a unit-vector syndrome), leaders from a
 lexicographic scan by increasing weight, and full coset weight distributions
 from the dual-side transform with exact integer Krawtchouk coefficients.
+Design checks read block counts off one histogram of the pair syndromes
+U[a] ^ U[b], without listing any codeword.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .codes import LinearCode, dual_spectrum
-from .gf2 import bit_support
 
 __all__ = [
     "CosetRecord",
@@ -36,10 +39,7 @@ __all__ = [
     "verify_mu_identity",
     "verify_uniformly_packed",
     "design_lambda",
-    "weight3_codewords",
-    "weight4_codewords",
-    "extended_weight4_codewords",
-    "verify_design",
+    "check_design",
     "verify_extension_condition",
     "verify_extended_array",
 ]
@@ -355,83 +355,56 @@ def design_lambda(m: int, i: int) -> int:
     return (1 << (m - i - 1)) - 1
 
 
-def weight3_codewords(code: LinearCode) -> List[int]:
-    """All weight-3 codewords, by scanning label pairs."""
-    if code.extended:
-        raise ValueError("extended codes have no odd-weight words")
-    ctx = code.ctx
-    exp, log, qterm = ctx.gm.exp, ctx.gm.log, ctx.qterm
-    out = []
-    for a in range(ctx.n):
-        for b in range(a + 1, ctx.n):
-            t = log[exp[a] ^ exp[b]]
-            if t <= b:
-                continue
-            if code.quad_sum_in_subspace(qterm[a] ^ qterm[b] ^ qterm[t]):
-                out.append((1 << a) | (1 << b) | (1 << t))
-    return out
-
-
-def weight4_codewords(code: LinearCode) -> List[int]:
-    """All weight-4 codewords of an unextended chain code."""
-    if code.extended:
-        raise ValueError("use extended_weight4_codewords for extended codes")
-    ctx = code.ctx
-    exp, log, qterm = ctx.gm.exp, ctx.gm.log, ctx.qterm
-    out = []
-    for combo in combinations(range(ctx.n), 3):
-        a, b, c = combo
-        rest = exp[a] ^ exp[b] ^ exp[c]
-        if rest == 0:
-            continue
-        d = log[rest]
-        if d <= c:
-            continue
-        if code.quad_sum_in_subspace(qterm[a] ^ qterm[b] ^ qterm[c] ^ qterm[d]):
-            out.append((1 << a) | (1 << b) | (1 << c) | (1 << d))
-    return out
-
-
-def extended_weight4_codewords(code: LinearCode) -> List[int]:
-    """Weight-4 words of an extended code: padded weight-3 words plus shifted
-    weight-4 words of the punctured code."""
-    if not code.extended:
-        raise ValueError("code is not extended")
-    base = code.base
-    assert base is not None
-    out = [(w << 1) | 1 for w in weight3_codewords(base)]
-    out += [w << 1 for w in weight4_codewords(base)]
-    return out
-
-
 @dataclass(frozen=True)
 class DesignReport:
     points: int
     block_weight: int
     strength: int
+    blocks: int
     lam: Optional[int]
     ok: bool
     counterexample: Optional[Tuple[int, ...]] = None
 
 
-def verify_design(
-    words: Sequence[int], length: int, block_weight: int, strength: int
-) -> DesignReport:
-    """Do the supports cover every strength-subset equally often?"""
-    if not words:
-        return DesignReport(length, block_weight, strength, None, False)
-    counts: Dict[Tuple[int, ...], int] = {}
-    for word in words:
-        support = list(bit_support(word))
-        if len(support) != block_weight:
-            raise ValueError("word weight differs from the block weight")
-        for key in combinations(support, strength):
-            counts[key] = counts.get(key, 0) + 1
-    lam = len(words) * comb(block_weight, strength) // comb(length, strength)
-    for key in combinations(range(length), strength):
-        if counts.get(key, 0) != lam:
-            return DesignReport(length, block_weight, strength, lam, False, key)
-    return DesignReport(length, block_weight, strength, lam, True)
+def check_design(code: LinearCode) -> DesignReport:
+    """Do the minimum-weight words form a design?  Read off pair syndromes.
+
+    With U the unit syndromes, cnt[s] counts the pairs a < b with
+    U[a] ^ U[b] = s.  When U is nonzero and distinct, the pairs with one
+    syndrome are disjoint, so:
+
+    * unextended code, weight-3 words as a 1-design: a word through point p
+      is a pair with syndrome U[p], so cnt[U[p]] blocks pass through p;
+    * extended code, weight-4 words as a 2-design: a word is two pairs with
+      equal syndrome, met once for each of its 3 splits, so there are
+      sum C(cnt, 2) / 3 blocks and cnt[s_ab] - 1 of them pass through {a, b}.
+
+    The witness is the first point or pair whose count differs from lambda.
+    """
+    units = np.asarray(code.unit_syndromes, dtype=np.int64)
+    n = code.length
+    if units.min() <= 0 or len(np.unique(units)) != n:
+        raise ValueError("design check needs distinct nonzero unit syndromes")
+    a, b = np.triu_indices(n, 1)
+    pair_syn = units[a] ^ units[b]
+    cnt = np.bincount(pair_syn, minlength=int(units.max()) + 1)
+    if code.extended:
+        block_weight, strength = 4, 2
+        blocks = int((cnt * (cnt - 1) // 2).sum()) // 3
+        through = cnt[pair_syn] - 1
+    else:
+        block_weight, strength = 3, 1
+        through = cnt[units]
+        blocks = int(through.sum()) // 3
+    if blocks == 0:
+        return DesignReport(n, block_weight, strength, 0, None, False)
+    lam = blocks * comb(block_weight, strength) // comb(n, strength)
+    off = np.flatnonzero(through != lam)
+    if len(off):
+        k = int(off[0])
+        witness = (int(a[k]), int(b[k])) if code.extended else (k,)
+        return DesignReport(n, block_weight, strength, blocks, lam, False, witness)
+    return DesignReport(n, block_weight, strength, blocks, lam, True)
 
 
 def verify_extension_condition(code: LinearCode) -> Optional[bool]:

@@ -432,6 +432,8 @@ def conjecture_report(
     m: int,
     levels: Optional[Sequence[int]] = None,
     syndrome_targets: Optional[Sequence[int]] = None,
+    poly_m: Optional[int] = None,
+    poly_u: Optional[int] = None,
 ) -> List[CTReport]:
     """Per-level transitivity verdicts next to the predicted levels."""
     from .field import build_field_context
@@ -439,7 +441,7 @@ def conjecture_report(
 
     if m > 8:
         raise ValueError("transitivity survey supported for m <= 8")
-    ctx = build_field_context(m)
+    ctx = build_field_context(m, poly_m, poly_u)
     chain = build_chain(ctx, syndrome_targets)
     picked = range(ctx.u + 1) if levels is None else levels
     return [certify_transitivity(chain[i]) for i in picked]

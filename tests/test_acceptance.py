@@ -11,6 +11,7 @@ import time
 from math import comb
 
 from crcodes.codes import (
+    check_membership,
     count_codes_at_level,
     count_full_chains,
     dual_spectrum,
@@ -27,16 +28,14 @@ from crcodes.graphs import (
     verify_antipodal_cover_array,
 )
 from crcodes.regularity import (
+    check_design,
     cria_array,
     design_lambda,
     enumerate_cosets,
     extended_cria_array,
-    extended_weight4_codewords,
     verify_completely_regular,
-    verify_design,
     verify_extended_array,
     verify_mu_identity,
-    weight3_codewords,
 )
 from crcodes.transitivity import certify_transitivity, conjecture_report, extended_orbits
 
@@ -65,14 +64,18 @@ def test_criterion_01_membership_equivalence(ctx4, chain4, ctx6, chain6):
         if top4.contains(v) != want:
             problems.append(f"m=4 vector {v:#x} disagrees")
             break
+    if not check_membership(top4, range(1 << 15)):
+        problems.append("m=4 byte-table check disagrees")
     top6 = chain6[-1]
     rng = random.Random(20240901)
-    for _ in range(100_000):
-        v = rng.getrandbits(63)
+    vectors = [rng.getrandbits(63) for _ in range(100_000)]
+    for v in vectors:
         want = field_sum(ctx6, v) == 0 and quad_sum(ctx6, v) == 0
         if top6.contains(v) != want:
             problems.append(f"m=6 vector {v:#x} disagrees")
             break
+    if not check_membership(top6, vectors):
+        problems.append("m=6 byte-table check disagrees")
     elapsed = time.perf_counter() - t0
     if elapsed >= 5.0:
         problems.append(f"runtime {elapsed:.2f}s exceeds 5s")
@@ -138,20 +141,18 @@ def test_criterion_04_designs(chain4, chain6):
             lam = expected_lams[m][i]
             if design_lambda(m, i) != lam:
                 problems.append(f"m={m} i={i} lambda formula != {lam}")
-            words = weight3_codewords(code)
-            rep = verify_design(words, n, 3, 1)
-            if not (rep.ok and rep.lam == lam and len(words) == n * lam // 3):
+            rep = check_design(code)
+            if not (rep.ok and rep.lam == lam and rep.blocks == n * lam // 3):
                 problems.append(
                     f"m={m} i={i} weight-3: ok={rep.ok} lam={rep.lam} "
-                    f"count={len(words)}"
+                    f"count={rep.blocks}"
                 )
-            words4 = extended_weight4_codewords(extend_code(code))
-            rep4 = verify_design(words4, n + 1, 4, 2)
+            rep4 = check_design(extend_code(code))
             want4 = lam * comb(n + 1, 2) // comb(4, 2)
-            if not (rep4.ok and rep4.lam == lam and len(words4) == want4):
+            if not (rep4.ok and rep4.lam == lam and rep4.blocks == want4):
                 problems.append(
                     f"m={m} i={i} weight-4: ok={rep4.ok} lam={rep4.lam} "
-                    f"count={len(words4)} want {want4}"
+                    f"count={rep4.blocks} want {want4}"
                 )
     record(4, "weight-3 words form 1-designs and extended weight-4 words 2-designs",
            problems, time.perf_counter() - t0)

@@ -9,8 +9,9 @@ import pytest
 
 from crcodes import cli
 from crcodes.codes import load_code
-from crcodes.graphs import build_coset_graph, parse_graph6
+from crcodes.graphs import build_coset_graph
 from crcodes.regularity import IntersectionArray
+from oracles import parse_graph6
 
 
 def run_cli(capsys, argv):
@@ -101,6 +102,11 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
         ["verify", "--m", "4", "--suite", "duals", "--threads", "0"],
         ["verify", "--m", "4", "--suite", "duals", "--threads", "-3"],
         ["conjecture", "--m", "6", "--levels", "7"],
+        ["verify", "--levels", "9", "--out", "/nonexistent/x"],
+        ["verify", "--m", "4", "--suite", "duals", "--out", "/nonexistent/x"],
+        ["conjecture", "--m", "4", "--prim-poly-m", "0x5"],
+        ["conjecture", "--m", "4", "--out", "/nonexistent/x"],
+        ["conjecture", "--m", "4", "--extended"],
     ],
 )
 def test_config_errors_exit_3(capsys, argv):
@@ -197,6 +203,13 @@ def test_conjecture_json(capsys):
     assert all(row["predicted"] for row in report["results"])
 
 
+def test_conjecture_alternate_polynomial(capsys):
+    # x^4 + x^3 + 1 is primitive, so the survey runs over that field
+    code, report = run_json(capsys, ["conjecture", "--m", "4", "--prim-poly-m", "0x19"])
+    assert code == 0
+    assert all(row["verdict"] == "certified" for row in report["results"])
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "crcodes.cli", "build", "--m", "3"],
@@ -215,3 +228,21 @@ def test_verify_m8_graph_suites(capsys):
         "checks": 46, "passed": 46, "failed": 0, "verdict": "pass",
     }
     assert elapsed < 60.0, f"m=8 graph and cover suites took {elapsed:.1f}s"
+
+
+def test_verify_m8_designs_and_membership(capsys):
+    t0 = time.perf_counter()
+    code, report = run_json(capsys, ["verify", "--m", "8", "--suite", "designs,cr"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert report["summary"] == {
+        "checks": 21, "passed": 21, "failed": 0, "verdict": "pass",
+    }
+    computed = {(r["claim"], r["level"]): r["computed"] for r in report["results"]}
+    lams = (127, 63, 31, 15, 7)
+    for i, lam in enumerate(lams):
+        assert computed["design-weight3", i] == f"{255 * lam // 3} blocks, lambda={lam}"
+        assert computed["design-weight4", i] == f"{lam * 32640 // 6} blocks, lambda={lam}"
+    assert computed["design-weight4", 0] == "690880 blocks, lambda=127"
+    assert computed["membership-syndrome", 4] == "100000 random vectors"
+    assert elapsed < 60.0, f"m=8 design and cr suites took {elapsed:.1f}s"

@@ -1,6 +1,8 @@
 import itertools
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from crcodes.field import build_field_context
@@ -9,6 +11,7 @@ from crcodes.codes import (
     build_chain,
     build_hamming_parity,
     build_power_parity,
+    check_membership,
     count_codes_at_level,
     count_full_chains,
     dual_enumerate,
@@ -18,6 +21,7 @@ from crcodes.codes import (
     membership,
     save_code,
     verify_cyclic,
+    _support_xor,
 )
 from crcodes.gf2 import gf2_rank, gf2_span
 
@@ -82,6 +86,45 @@ def test_base_membership_equivalence_m4():
         by_sums = h == 0 and ctx.quad_sum(v) == 0
         assert by_parity == by_sums
         assert code.contains(v) == by_sums
+
+
+def test_support_xor_matches_bit_loops(chain4, chain6):
+    # byte-table sums of packed vectors against the per-bit loops
+    rng = random.Random(5)
+    for code in (chain4[0], chain4[-1], chain6[1], chain6[-1]):
+        n, ctx = code.length, code.ctx
+        vectors = [0, 1, 1 << (n - 1), (1 << n) - 1]
+        vectors += [rng.getrandbits(n) for _ in range(300)]
+        raw = b"".join(v.to_bytes(-(-n // 8), "little") for v in vectors)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), -1)
+        assert _support_xor(code.unit_syndromes, packed).tolist() == [
+            code.syndrome(v) for v in vectors
+        ]
+        assert _support_xor(ctx.qterm, packed).tolist() == [
+            ctx.quad_sum(v) for v in vectors
+        ]
+        assert _support_xor(ctx.gm.exp, packed).tolist() == [
+            code.syndrome(v) & ((1 << ctx.m) - 1) for v in vectors
+        ]
+
+
+@pytest.mark.parametrize("bit", [0, 4], ids=["field-sum-bit", "weight-sum-bit"])
+def test_check_membership_detects_corrupt_unit_syndrome(chain4, bit):
+    top = chain4[-1]
+    assert check_membership(top, range(1 << 15))
+    units = list(top.unit_syndromes)
+    units[5] ^= 1 << bit
+    fake = SimpleNamespace(ctx=top.ctx, length=top.length, extended=False,
+                           unit_syndromes=tuple(units))
+    assert not check_membership(fake, range(1 << 15))
+
+
+def test_check_membership_rejects_bad_input(chain4):
+    top = chain4[-1]
+    with pytest.raises(ValueError, match="length 15"):
+        check_membership(top, [3, 1 << 15])
+    with pytest.raises(ValueError, match="unextended"):
+        check_membership(extend_code(top), [0])
 
 
 def test_chain_nesting():

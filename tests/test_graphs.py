@@ -13,7 +13,6 @@ from crcodes.graphs import (
     distances_from,
     export_graph,
     fold,
-    parse_graph6,
     verify_cover,
     verify_antipodal_cover_array,
 )
@@ -22,6 +21,7 @@ from crcodes.regularity import (
     cria_array,
     extended_cria_array,
 )
+from oracles import parse_graph6
 
 
 def dense_distances(graph):

@@ -1,6 +1,7 @@
 """Coset tables, intersection arrays, distributions and design checks."""
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,22 +9,25 @@ from crcodes.codes import extend_code
 from crcodes import regularity
 from crcodes.regularity import (
     CosetTable,
+    check_design,
     cria_array,
     coset_weight_distribution,
     design_lambda,
     enumerate_cosets,
     extended_cria_array,
-    extended_weight4_codewords,
     extended_array_variant,
     verify_completely_regular,
-    verify_design,
     verify_extended_array,
     verify_extension_condition,
     verify_mu_identity,
     verify_uniformly_packed,
+    _krawtchouk_matrix,
+)
+from oracles import (
+    extended_weight4_codewords,
+    verify_design,
     weight3_codewords,
     weight4_codewords,
-    _krawtchouk_matrix,
 )
 
 
@@ -223,12 +227,16 @@ def test_weight4_words_exhaustive_m4(chain4):
 
 
 def test_weight3_designs(chain4, chain6):
+    # the pair-syndrome histogram against the word scan and word-list count
     for m, chain in ((4, chain4), (6, chain6)):
         n = (1 << m) - 1
         for i, code in enumerate(chain):
             rep = verify_design(weight3_codewords(code), n, 3, 1)
             assert rep.ok
             assert rep.lam == design_lambda(m, i)
+            fast = check_design(code)
+            assert (fast.blocks, fast.lam, fast.ok) == (rep.blocks, rep.lam, rep.ok)
+            assert (fast.points, fast.block_weight, fast.strength) == (n, 3, 1)
 
 
 def test_extended_weight4_designs(chain4, chain6):
@@ -242,6 +250,9 @@ def test_extended_weight4_designs(chain4, chain6):
             assert rep.lam == design_lambda(m, i)
             for w in words:
                 assert w.bit_count() == 4 and star.contains(w)
+            fast = check_design(star)
+            assert (fast.blocks, fast.lam, fast.ok) == (rep.blocks, rep.lam, rep.ok)
+            assert (fast.points, fast.block_weight, fast.strength) == (n + 1, 4, 2)
 
 
 def test_design_negative_control(chain4):
@@ -250,6 +261,46 @@ def test_design_negative_control(chain4):
     assert not rep.ok
     assert rep.counterexample is not None
     assert verify_design([], 15, 3, 1).ok is False
+
+
+def brute_design(stub, block_weight, strength):
+    """Word-list design count over every zero-sum block_weight-subset."""
+    units = stub.unit_syndromes
+    words = []
+    for support in combinations(range(stub.length), block_weight):
+        acc = 0
+        for p in support:
+            acc ^= units[p]
+        if acc == 0:
+            words.append(sum(1 << p for p in support))
+    return verify_design(words, stub.length, block_weight, strength)
+
+
+@pytest.mark.parametrize(
+    "units, extended, witness",
+    [
+        # F_2^3 minus {6, 7}: blocks {1,2,3} and {1,4,5} both pass point 0
+        ((1, 2, 3, 4, 5), False, (0,)),
+        # the same points behind a parity bit: {0, 1} lies in two blocks
+        ((8, 9, 10, 11, 12, 13), True, (0, 1)),
+    ],
+    ids=["plain", "extended"],
+)
+def test_design_histogram_negative_control(units, extended, witness):
+    stub = SimpleNamespace(unit_syndromes=units, length=len(units), extended=extended)
+    rep = check_design(stub)
+    assert not rep.ok
+    assert rep.counterexample == witness
+    ref = brute_design(stub, 4 if extended else 3, 2 if extended else 1)
+    assert (rep.blocks, rep.lam, rep.ok, rep.counterexample) == (
+        ref.blocks, ref.lam, ref.ok, ref.counterexample)
+
+
+@pytest.mark.parametrize("units", [(1, 2, 3, 3), (0, 1, 2, 3)], ids=["repeated", "zero"])
+def test_design_needs_distinct_nonzero_units(units):
+    stub = SimpleNamespace(unit_syndromes=units, length=len(units), extended=False)
+    with pytest.raises(ValueError, match="distinct nonzero"):
+        check_design(stub)
 
 
 def test_extension_condition(chain4, chain6):

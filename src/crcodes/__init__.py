@@ -5,8 +5,6 @@ from .field import (
     GF2Ext,
     QuadPair,
     build_field_context,
-    quad_det,
-    quad_sum,
 )
 from .codes import (
     LinearCode,
@@ -56,8 +54,6 @@ __all__ = [
     "GF2Ext",
     "QuadPair",
     "build_field_context",
-    "quad_det",
-    "quad_sum",
     "LinearCode",
     "build_base_code",
     "build_chain",

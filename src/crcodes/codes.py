@@ -34,7 +34,6 @@ __all__ = [
     "build_power_parity",
     "build_base_code",
     "build_chain",
-    "membership",
     "check_membership",
     "count_codes_at_level",
     "count_full_chains",
@@ -208,11 +207,6 @@ class LinearCode:
             f"LinearCode(m={self.ctx.m}, level={self.level}{tag}, "
             f"[{self.length},{self.dimension}])"
         )
-
-
-def membership(v: int, code: LinearCode) -> bool:
-    """True iff v (an int bit vector of the code's length) is a codeword."""
-    return code.contains(v)
 
 
 def _support_xor(values: Sequence[int], packed: np.ndarray) -> np.ndarray:

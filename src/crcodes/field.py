@@ -39,9 +39,6 @@ __all__ = [
     "QuadPair",
     "FieldContext",
     "build_field_context",
-    "quad_det",
-    "quad_sum",
-    "load_prim_poly_overrides",
 ]
 
 PRIM_POLYS: Dict[int, int] = {
@@ -260,35 +257,3 @@ class FieldContext:
 def build_field_context(m: int, poly_m: Optional[int] = None, poly_u: Optional[int] = None) -> FieldContext:
     """Construct the shared field tables for an even extension degree m."""
     return FieldContext(m, poly_m, poly_u)
-
-
-def quad_det(ctx: FieldContext, a: int, b: int) -> int:
-    """Determinant pairing of the quadratic decompositions of a and b."""
-    return ctx.quad_det(a, b)
-
-
-def quad_sum(ctx: FieldContext, v: int) -> int:
-    """Quadratic component sum of the bit vector v (length n, 0-indexed)."""
-    return ctx.quad_sum(v)
-
-
-def load_prim_poly_overrides(path: str) -> Dict[str, int]:
-    """Read polynomial overrides from a text file.
-
-    Recognized lines are ``poly_m = <mask>`` and ``poly_u = <mask>`` where the
-    mask is a hex (0x...) or decimal coefficient mask; ``#`` starts a comment.
-    """
-    overrides: Dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'name = mask'")
-            name, _, value = line.partition("=")
-            name = name.strip()
-            if name not in ("poly_m", "poly_u"):
-                raise ValueError(f"{path}:{lineno}: unknown key {name!r}")
-            overrides[name] = int(value.strip(), 0)
-    return overrides

@@ -47,7 +47,6 @@ class CosetGraph:
     vertex_count: int
     valency: int
     adjacency: np.ndarray  # vertex_count x valency, rows sorted
-    generator_syndromes: Tuple[int, ...]
 
     def neighbor_rows(self) -> Sequence[Sequence[int]]:
         return self.adjacency
@@ -79,7 +78,7 @@ def build_coset_graph(code: LinearCode) -> CosetGraph:
         raise ValueError("unit syndromes must be nonzero and distinct")
     verts = np.arange(size, dtype=np.int64)
     adj = np.sort(verts[:, None] ^ units[None, :], axis=1)
-    return CosetGraph(size, len(code.unit_syndromes), adj, tuple(code.unit_syndromes))
+    return CosetGraph(size, len(code.unit_syndromes), adj)
 
 
 def _neighbour_array(graph) -> np.ndarray:

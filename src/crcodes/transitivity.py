@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode
 from .field import FieldContext, GF2Ext, QuadPair
@@ -366,6 +366,31 @@ def conjecture_predicate(u: int, i: int) -> bool:
     return i in (0, 1, u) or (1 << i) <= u + 1
 
 
+def _fewest_orbits(
+    code: LinearCode,
+    table: CosetTable,
+    base: LinearCode,
+    perms_of: Callable[[ActingGroup], List[Tuple[int, ...]]],
+) -> Tuple[OrbitPartition, str]:
+    """Orbits of code's cosets under perms_of(the default group of base).
+
+    Strictly between the ends, when that leaves more than rho+1 orbits, the
+    group widened by the compatible label squarings is tried as well and the
+    smaller count kept.  Returns the partition and the group's name.
+    """
+    group = default_acting_group(base)
+    orbits = orbits_on_cosets(perms_of(group), code, table)
+    name = group.name
+    if orbits.orbit_count > table.rho + 1 and 0 < base.level < base.ctx.u:
+        semi = semilinear_extension(base)
+        if semi:
+            wider = ActingGroup(group.name + "+frob", group.matrices, semi)
+            candidate = orbits_on_cosets(perms_of(wider), code, table)
+            if candidate.orbit_count < orbits.orbit_count:
+                orbits, name = candidate, wider.name
+    return orbits, name
+
+
 def certify_transitivity(
     code: LinearCode, table: Optional[CosetTable] = None
 ) -> CTReport:
@@ -374,18 +399,7 @@ def certify_transitivity(
     ctx = code.ctx
     if table is None:
         table = enumerate_cosets(code, with_distributions=False)
-    group = default_acting_group(code)
-    perms = group.permutations(ctx)
-    orbits = orbits_on_cosets(perms, code, table)
-    name = group.name
-    if orbits.orbit_count > table.rho + 1 and 0 < code.level < ctx.u:
-        semi = semilinear_extension(code)
-        if semi:
-            wider = ActingGroup(group.name + "+frob", group.matrices, semi)
-            candidate = orbits_on_cosets(wider.permutations(ctx), code, table)
-            if candidate.orbit_count < orbits.orbit_count:
-                orbits = candidate
-                name = wider.name
+    orbits, name = _fewest_orbits(code, table, code, lambda g: g.permutations(ctx))
     return CTReport(
         m=ctx.m,
         level=code.level,
@@ -412,20 +426,11 @@ def extended_orbits(
     if table is None:
         table = enumerate_cosets(code_star, with_distributions=False)
     translations = [translation_permutation(ctx, 1 << k) for k in range(ctx.m)]
-    group = default_acting_group(base)
-    perms = [lift_permutation(p) for p in group.permutations(ctx)] + translations
-    orbits = orbits_on_cosets(perms, code_star, table)
-    name = group.name + "+translations"
-    if orbits.orbit_count > table.rho + 1 and 0 < base.level < ctx.u:
-        semi = semilinear_extension(base)
-        if semi:
-            wider = ActingGroup(group.name + "+frob", group.matrices, semi)
-            perms = [lift_permutation(p) for p in wider.permutations(ctx)] + translations
-            candidate = orbits_on_cosets(perms, code_star, table)
-            if candidate.orbit_count < orbits.orbit_count:
-                orbits = candidate
-                name = wider.name + "+translations"
-    return orbits, name
+    orbits, name = _fewest_orbits(
+        code_star, table, base,
+        lambda g: [lift_permutation(p) for p in g.permutations(ctx)] + translations,
+    )
+    return orbits, name + "+translations"
 
 
 def conjecture_report(

@@ -18,7 +18,6 @@ from crcodes.codes import (
     dual_spectrum,
     extend_code,
     load_code,
-    membership,
     save_code,
     verify_cyclic,
     _support_xor,
@@ -135,13 +134,13 @@ def test_chain_nesting():
             finer = chain[i + 1]
             coarser = chain[i]
             for g in finer.generator_rows:
-                assert membership(g, coarser)
+                assert coarser.contains(g)
         # adjoined representative j lies in level i exactly when j <= u - i
         targets = chain[0].syndrome_targets
         reps = chain[0].adjoined_reps
         for i in range(ctx.u + 1):
             for j, rep in enumerate(reps):
-                assert membership(rep, chain[i]) == (j < ctx.u - i)
+                assert chain[i].contains(rep) == (j < ctx.u - i)
         for j, (t, rep) in enumerate(zip(targets, reps)):
             assert rep.bit_count() == 3
             assert ctx.quad_sum(rep) == t
@@ -189,9 +188,9 @@ def test_extension_properties():
     for _ in range(500):
         v = rng.getrandbits(15)
         par = v.bit_count() & 1
-        assert membership(v, code) == membership((v << 1) | par, ext)
-        if membership(v, code) and par == 0:
-            assert not membership((v << 1) | 1, ext)
+        assert code.contains(v) == ext.contains((v << 1) | par)
+        if code.contains(v) and par == 0:
+            assert not ext.contains((v << 1) | 1)
 
 
 def test_extended_unit_syndromes():
@@ -312,9 +311,9 @@ def test_membership_examples_level1():
                 continue
             v = (1 << a) | (1 << b) | (1 << t)
             s = ctx.quad_sum(v)
-            assert membership(v, chain[0])
-            assert membership(v, chain[1]) == (s in (0, 1))
-            assert membership(v, chain[2]) == (s == 0)
+            assert chain[0].contains(v)
+            assert chain[1].contains(v) == (s in (0, 1))
+            assert chain[2].contains(v) == (s == 0)
             if s in found:
                 found[s] = True
     assert all(found.values())

@@ -8,9 +8,6 @@ from crcodes.field import (
     GF2Ext,
     QuadPair,
     build_field_context,
-    load_prim_poly_overrides,
-    quad_det,
-    quad_sum,
 )
 
 
@@ -133,17 +130,17 @@ def test_quad_det_oracle_m4():
             expect = slow_mul(pa.g1, pb.g2, ctx.gu.poly, 2) ^ slow_mul(
                 pb.g1, pa.g2, ctx.gu.poly, 2
             )
-            assert quad_det(ctx, a, b) == expect
+            assert ctx.quad_det(a, b) == expect
 
 
 def test_quad_det_alternating_and_bilinear_m4():
     ctx = build_field_context(4)
     for a in range(1 << 4):
-        assert quad_det(ctx, a, a) == 0
+        assert ctx.quad_det(a, a) == 0
         for b in range(1 << 4):
-            assert quad_det(ctx, a, b) == quad_det(ctx, b, a)
+            assert ctx.quad_det(a, b) == ctx.quad_det(b, a)
             for c in range(1 << 4):
-                assert quad_det(ctx, a ^ b, c) == quad_det(ctx, a, c) ^ quad_det(ctx, b, c)
+                assert ctx.quad_det(a ^ b, c) == ctx.quad_det(a, c) ^ ctx.quad_det(b, c)
 
 
 def test_det_value_counts():
@@ -159,7 +156,7 @@ def test_det_value_counts():
             }
             counts = {}
             for other in range(1 << m):
-                d = quad_det(ctx, gamma, other)
+                d = ctx.quad_det(gamma, other)
                 counts[d] = counts.get(d, 0) + 1
                 if d == 0:
                     assert other == 0 or other in multiples
@@ -172,13 +169,13 @@ def test_det_value_counts():
 
 def test_quad_sum_basics():
     ctx = build_field_context(6)
-    assert quad_sum(ctx, 0) == 0
+    assert ctx.quad_sum(0) == 0
     for p in range(ctx.n):
-        assert quad_sum(ctx, 1 << p) == ctx.qterm[p]
+        assert ctx.quad_sum(1 << p) == ctx.qterm[p]
     with pytest.raises(ValueError):
-        quad_sum(ctx, 1 << ctx.n)
+        ctx.quad_sum(1 << ctx.n)
     with pytest.raises(ValueError):
-        quad_sum(ctx, -1)
+        ctx.quad_sum(-1)
 
 
 def test_quad_sum_weight3_equals_det():
@@ -193,7 +190,7 @@ def test_quad_sum_weight3_equals_det():
                     continue
                 v = (1 << p) | (1 << q) | (1 << t)
                 expect = ctx.pair_det(ctx.quad_pairs[p], ctx.quad_pairs[q])
-                assert quad_sum(ctx, v) == expect
+                assert ctx.quad_sum(v) == expect
 
 
 def test_quad_sum_random_oracle():
@@ -206,7 +203,7 @@ def test_quad_sum_random_oracle():
             if (v >> p) & 1:
                 g1, g2 = ctx.quad_pairs[p]
                 acc ^= slow_mul(g1, g2, ctx.gu.poly, ctx.u)
-        assert quad_sum(ctx, v) == acc
+        assert ctx.quad_sum(v) == acc
 
 
 def test_position_of_pair_roundtrip():
@@ -226,14 +223,3 @@ def test_project_subfield_rejects_outsiders():
         else:
             with pytest.raises(ValueError):
                 ctx.project_subfield(value)
-
-
-def test_load_prim_poly_overrides(tmp_path):
-    cfg = tmp_path / "polys.cfg"
-    cfg.write_text("# field overrides\npoly_m = 0x13\npoly_u = 7\n")
-    overrides = load_prim_poly_overrides(str(cfg))
-    assert overrides == {"poly_m": 0x13, "poly_u": 7}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("poly_k = 0x3\n")
-    with pytest.raises(ValueError):
-        load_prim_poly_overrides(str(bad))

@@ -79,7 +79,6 @@ def test_composition_exhaustive_gl2_4(ctx4):
 def test_weight_function_scales_by_det(ctx4, chain4):
     # on vectors with zero field sum the position weight function picks up
     # exactly the determinant as a factor
-    from crcodes.field import quad_sum
 
     hamming = chain4[0]
     words = [w for w in hamming.codewords() if 0 < w.bit_count() <= 4]
@@ -88,13 +87,12 @@ def test_weight_function_scales_by_det(ctx4, chain4):
         det = mat_det(g, ctx4.gu)
         perm = matrix_to_permutation(ctx4, g)
         for v in words:
-            assert quad_sum(ctx4, permute_word(perm, v)) == ctx4.gu.mul(
-                det, quad_sum(ctx4, v)
+            assert ctx4.quad_sum(permute_word(perm, v)) == ctx4.gu.mul(
+                det, ctx4.quad_sum(v)
             )
 
 
 def test_det_scaling_sampled_m6(ctx6, chain6):
-    from crcodes.field import quad_sum
 
     rng = random.Random(11)
     hamming = chain6[0]
@@ -108,8 +106,8 @@ def test_det_scaling_sampled_m6(ctx6, chain6):
         for row in rows:
             if rng.random() < 0.5:
                 v ^= row
-        assert quad_sum(ctx6, permute_word(perm, v)) == ctx6.gu.mul(
-            det, quad_sum(ctx6, v)
+        assert ctx6.quad_sum(permute_word(perm, v)) == ctx6.gu.mul(
+            det, ctx6.quad_sum(v)
         )
 
 

@@ -1,7 +1,9 @@
 """Command line front end: build chains, verify claims, export graphs.
 
 Exit codes: 0 no selected check failed, 2 at least one check failed,
-3 configuration error.  A one-sided check that can only confirm a claim
+3 configuration error (any ValueError), 4 internal error: any other
+exception, reported as one ``internal error:`` line on stderr with no
+traceback.  A one-sided check that can only confirm a claim
 reads ``undetermined`` when it does not, and fails nothing.  Reports are
 deterministic for a fixed config; the JSON report schema is described in
 the README.
@@ -572,6 +574,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .codes import LinearCode
-from .gf2 import gf2_rref
+from .gf2 import gf2_linear_map
 from .regularity import IntersectionArray
 
 __all__ = [
@@ -248,21 +248,14 @@ def verify_cover(
     """Project fine cosets onto the coarse code's cosets and verify the
     projection is a covering map: constant fibres and a bijection between
     each vertex's edges and its image's edges."""
-    for row in fine_code.generator_rows:
-        if not coarse_code.contains(row):
-            raise ValueError("fine code is not contained in the coarse code")
-    # fine lies in coarse, so the fine syndrome fixes the coarse one through
-    # a linear map.  Rows fine | coarse << r of the unit syndromes reduce to
-    # e_k | L(e_k) << r, and L acts on all 2^r syndromes bit-plane by bit-plane.
-    width = fine_code.syndrome_width
-    rows, _ = gf2_rref(
-        (f | c << width for f, c in zip(fine_code.unit_syndromes, coarse_code.unit_syndromes)),
-        width + coarse_code.syndrome_width,
+    # fine lies in coarse exactly when the fine syndrome fixes the coarse one
+    # through a linear map, sending each fine unit syndrome to the coarse one
+    proj = gf2_linear_map(
+        zip(fine_code.unit_syndromes, coarse_code.unit_syndromes),
+        fine_code.syndrome_width, coarse_code.syndrome_width,
     )
-    syn = np.arange(fine_graph.vertex_count, dtype=np.int64)
-    proj = np.zeros_like(syn)
-    for k, row in enumerate(rows[:width]):
-        proj ^= ((syn >> k) & 1) * (row >> width)
+    if proj is None:
+        raise ValueError("fine code is not contained in the coarse code")
     expected = fine_graph.vertex_count // coarse_graph.vertex_count
     counts = np.bincount(proj, minlength=coarse_graph.vertex_count)
     constant = bool((counts == expected).all())
@@ -403,9 +396,9 @@ def export_graph(graph, fmt: str) -> bytes:
                     lines.append(f"{v} {int(w)}")
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
-        payload = {
-            "vertices": graph.vertex_count,
-            "adjacency": [[int(w) for w in row] for row in graph.neighbor_rows()],
-        }
-        return (json.dumps(payload, indent=1) + "\n").encode()
+        rows = graph.neighbor_rows()
+        rows = (rows.tolist() if isinstance(rows, np.ndarray)
+                else [[int(w) for w in row] for row in rows])
+        body = ",\n".join(map(json.dumps, rows))
+        return f'{{"vertices": {graph.vertex_count}, "adjacency": [\n{body}\n]}}\n'.encode()
     raise ValueError(f"unsupported export format: {fmt}")

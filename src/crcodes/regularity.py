@@ -5,6 +5,9 @@ coset space is the dense range [0, 2^(n-k)).  Coset weights come from a BFS
 over syndromes (neighbors differ by a unit-vector syndrome), leaders from a
 lexicographic scan by increasing weight, and full coset weight distributions
 from the dual-side transform with exact integer Krawtchouk coefficients.
+Complete regularity is read off the weight array: the coset s ^ U[p] is
+s's neighbour through position p, so one vectorised pass per unit syndrome
+gives every coset's counts c_l (down) and b_l (up) at once.
 Design checks read block counts off one histogram of the pair syndromes
 U[a] ^ U[b], without listing any codeword.
 """
@@ -62,20 +65,13 @@ class CosetTable:
     def __init__(self, code: LinearCode, records: List[CosetRecord]):
         self.code = code
         self.records = records
-        self.rho = max(r.weight for r in records)
-        mu = [0] * (self.rho + 1)
-        for r in records:
-            mu[r.weight] += 1
-        self.mu: Tuple[int, ...] = tuple(mu)
+        # weights[s] is the weight of the coset with syndrome s
+        self.weights = np.array([r.weight for r in records], dtype=np.int64)
+        self.rho = int(self.weights.max())
+        self.mu: Tuple[int, ...] = tuple(np.bincount(self.weights).tolist())
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def weight_of(self, syndrome: int) -> int:
-        return self.records[syndrome].weight
-
-    def leader_of(self, syndrome: int) -> int:
-        return self.records[syndrome].leader
 
 
 def _dual_weight_table(code: LinearCode) -> List[int]:
@@ -236,42 +232,34 @@ class RegularityReport:
 
 
 def verify_completely_regular(code: LinearCode, table: CosetTable) -> RegularityReport:
-    """Check constant c_l / b_l over every weight class by syndrome counting."""
-    units = code.unit_syndromes
+    """Check constant c_l / b_l over every weight class, one pass over the
+    weight array per unit syndrome.  The witness is the smallest syndrome
+    whose counts differ from those of the first coset of its weight."""
+    weight = table.weights
+    syn = np.arange(len(weight))
+    down = np.zeros_like(weight)
+    up = np.zeros_like(weight)
+    for us in code.unit_syndromes:
+        near = weight[syn ^ us]
+        down += near == weight - 1
+        up += near == weight + 1
     rho = table.rho
-    weight = [r.weight for r in table.records]
-    b_vals: List[Optional[int]] = [None] * (rho + 1)
-    c_vals: List[Optional[int]] = [None] * (rho + 1)
-    first_syn: List[Optional[int]] = [None] * (rho + 1)
-    for s, w in enumerate(weight):
-        down = up = 0
-        for us in units:
-            nw = weight[s ^ us]
-            if nw == w - 1:
-                down += 1
-            elif nw == w + 1:
-                up += 1
-        if first_syn[w] is None:
-            first_syn[w] = s
-            b_vals[w] = up
-            c_vals[w] = down
-        elif b_vals[w] != up or c_vals[w] != down:
-            witness = {
-                "weight": w,
-                "coset_a": first_syn[w],
-                "coset_b": s,
-                "counts_a": (c_vals[w], b_vals[w]),
-                "counts_b": (down, up),
-            }
-            return RegularityReport(False, None, witness)
-    if b_vals[rho] != 0:
-        return RegularityReport(
-            False, None, {"weight": rho, "note": "nonzero b at covering radius"}
-        )
-    array = IntersectionArray(
-        b=tuple(b_vals[l] for l in range(rho)),  # type: ignore[misc]
-        c=tuple(c_vals[l] for l in range(1, rho + 1)),  # type: ignore[misc]
-    )
+    # weights take every value 0..rho, so first[l] is a coset of weight l
+    first = np.unique(weight, return_index=True)[1]
+    c_vals, b_vals = down[first], up[first]
+    bad = (down != c_vals[weight]) | (up != b_vals[weight])
+    if bad.any():
+        s = int(bad.argmax())
+        w = int(weight[s])
+        witness = {
+            "weight": w,
+            "coset_a": int(first[w]),
+            "coset_b": s,
+            "counts_a": (int(c_vals[w]), int(b_vals[w])),
+            "counts_b": (int(down[s]), int(up[s])),
+        }
+        return RegularityReport(False, None, witness)
+    array = IntersectionArray(b=tuple(b_vals[:rho].tolist()), c=tuple(c_vals[1:].tolist()))
     uniform: Optional[bool] = None
     if all(r.distribution is not None for r in table.records):
         per_weight: Dict[int, Tuple[int, ...]] = {}

@@ -11,9 +11,11 @@ itself.  Squaring the field labels gives a further semilinear permutation
 whose effect on the weight function is a twisted power; it rescues levels
 where the linear stabilizer alone leaves too many orbits.
 
-Orbit counting is generator-closure BFS over syndromes.  A coset is moved
-by permuting its leader and repacking the syndrome, so every generator is
-first checked to stabilize the code exactly.
+A permutation pi stabilizes C, the kernel of v -> XOR of U[p] over the
+support of v, exactly when one linear map of syndromes sends each U[p] to
+U[pi(p)]; one RREF finds that map or shows there is none, and the map moves
+every coset at once.  Orbits are the components of the generator maps,
+found by min-label propagation and numbered by their smallest syndrome.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .codes import LinearCode
 from .field import FieldContext, GF2Ext, QuadPair
-from .gf2 import bit_support, gf2_span
+from .gf2 import gf2_linear_map, gf2_span
 from .regularity import CosetTable, enumerate_cosets
 
 __all__ = [
@@ -40,8 +44,7 @@ __all__ = [
     "matrix_to_permutation",
     "frobenius_permutation",
     "compose_permutations",
-    "permute_word",
-    "act_on_coset",
+    "coset_action",
     "orbits_on_cosets",
     "orbit_weight2_structure",
     "translation_permutation",
@@ -136,20 +139,6 @@ def compose_permutations(outer: Sequence[int], inner: Sequence[int]) -> Tuple[in
     return tuple(outer[p] for p in inner)
 
 
-def permute_word(perm: Sequence[int], v: int) -> int:
-    out = 0
-    for p in bit_support(v):
-        out |= 1 << perm[p]
-    return out
-
-
-def act_on_coset(perm: Sequence[int], syndrome: int, code: LinearCode, table: CosetTable) -> int:
-    s = 0
-    for p in bit_support(table.leader_of(syndrome)):
-        s ^= code.unit_syndromes[perm[p]]
-    return s
-
-
 @dataclass(frozen=True)
 class OrbitPartition:
     class_of: Tuple[int, ...]
@@ -158,12 +147,14 @@ class OrbitPartition:
     orbit_sizes: Tuple[int, ...]
 
 
-def _check_stabilizes(perm: Sequence[int], code: LinearCode) -> Optional[int]:
-    """Index of a generator row whose image leaves the code, or None."""
-    for idx, row in enumerate(code.generator_rows):
-        if not code.contains(permute_word(perm, row)):
-            return idx
-    return None
+def coset_action(perm: Sequence[int], code: LinearCode) -> Optional[np.ndarray]:
+    """Image of every syndrome under the coset map of perm, or None when
+    perm does not stabilize the code."""
+    units = code.unit_syndromes
+    return gf2_linear_map(
+        ((units[p], units[perm[p]]) for p in range(code.length)),
+        code.syndrome_width, code.syndrome_width,
+    )
 
 
 def orbits_on_cosets(
@@ -172,40 +163,36 @@ def orbits_on_cosets(
     """Orbit partition of all cosets under the generated permutation group."""
     if table is None:
         table = enumerate_cosets(code, with_distributions=False)
+    maps = []
     for gi, perm in enumerate(gens):
         if len(perm) != code.length:
             raise ValueError(f"generator {gi} has wrong length")
-        bad = _check_stabilizes(perm, code)
-        if bad is not None:
-            raise ValueError(
-                f"generator {gi} does not stabilize the code "
-                f"(moves generator row {bad} outside)"
-            )
-    size = len(table)
-    class_of = [-1] * size
-    weights: List[int] = []
-    sizes: List[int] = []
-    for s0 in range(size):
-        if class_of[s0] >= 0:
-            continue
-        oid = len(weights)
-        class_of[s0] = oid
-        members = 1
-        w = table.weight_of(s0)
-        queue = deque([s0])
-        while queue:
-            s = queue.popleft()
-            for perm in gens:
-                t = act_on_coset(perm, s, code, table)
-                if class_of[t] < 0:
-                    if table.weight_of(t) != w:
-                        raise RuntimeError("orbit mixes coset weights")
-                    class_of[t] = oid
-                    members += 1
-                    queue.append(t)
-        weights.append(w)
-        sizes.append(members)
-    return OrbitPartition(tuple(class_of), len(weights), tuple(weights), tuple(sizes))
+        image = coset_action(perm, code)
+        if image is None:
+            raise ValueError(f"generator {gi} does not stabilize the code")
+        if (table.weights[image] != table.weights).any():
+            raise RuntimeError("orbit mixes coset weights")
+        maps.append(image)
+    # label[s] stays a member of s's orbit no larger than s; an orbit of a
+    # finite group is what its generators reach from s, so pulling labels
+    # back along every map and jumping label -> label[label] settles on the
+    # orbit's smallest member
+    label = np.arange(len(table))
+    while True:
+        before = label
+        for image in maps:
+            label = np.minimum(label, label[image])
+        label = label[label]
+        if (label == before).all():
+            break
+    smallest = np.flatnonzero(label == np.arange(len(label)))
+    class_of = np.searchsorted(smallest, label)
+    return OrbitPartition(
+        tuple(class_of.tolist()),
+        len(smallest),
+        tuple(table.weights[smallest].tolist()),
+        tuple(np.bincount(class_of).tolist()),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,20 @@
 """Brute-force references that the tests compare the library against.
 
 Nothing in the package calls these: designs are checked there from a
-histogram of pair syndromes, and graph6 is only ever written.
+histogram of pair syndromes, graph6 is only ever written, cosets are moved
+by a linear map of syndromes rather than by their leaders, and complete
+regularity is counted over the whole weight array at once.
 """
 
+from collections import deque
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from crcodes.gf2 import bit_support
-from crcodes.regularity import DesignReport
+from crcodes.regularity import DesignReport, IntersectionArray, RegularityReport
+from crcodes.transitivity import OrbitPartition
 
 
 def weight3_codewords(code):
@@ -97,3 +101,79 @@ def parse_graph6(data):
     adj[i[edge], j[edge]] = True
     adj |= adj.T
     return [tuple(np.flatnonzero(row).tolist()) for row in adj]
+
+
+def permute_word(perm, v):
+    """The word with a bit at perm[p] for each bit p of v."""
+    out = 0
+    for p in bit_support(v):
+        out |= 1 << perm[p]
+    return out
+
+
+def stabilizes_by_rows(perm, code):
+    """Does perm map every generator row into the code?"""
+    return all(code.contains(permute_word(perm, row)) for row in code.generator_rows)
+
+
+def act_on_coset(perm, syndrome, code, table):
+    """Syndrome of the permuted leader of a coset."""
+    s = 0
+    for p in bit_support(table.records[syndrome].leader):
+        s ^= code.unit_syndromes[perm[p]]
+    return s
+
+
+def leader_orbits(gens, code, table):
+    """Orbit partition by BFS from each unvisited syndrome in increasing
+    order, moving cosets by their leaders."""
+    size = len(table)
+    class_of = [-1] * size
+    weights, sizes = [], []
+    for s0 in range(size):
+        if class_of[s0] >= 0:
+            continue
+        oid = len(weights)
+        class_of[s0] = oid
+        members = 1
+        queue = deque([s0])
+        while queue:
+            s = queue.popleft()
+            for perm in gens:
+                t = act_on_coset(perm, s, code, table)
+                if class_of[t] < 0:
+                    class_of[t] = oid
+                    members += 1
+                    queue.append(t)
+        weights.append(table.records[s0].weight)
+        sizes.append(members)
+    return OrbitPartition(tuple(class_of), len(weights), tuple(weights), tuple(sizes))
+
+
+def loop_completely_regular(code, table):
+    """Complete regularity by visiting each coset and each of its n
+    neighbours; the witness is the first coset, in syndrome order, whose
+    counts differ from the first coset of its weight."""
+    weight = [r.weight for r in table.records]
+    rho = max(weight)
+    b_vals, c_vals, first = [None] * (rho + 1), [None] * (rho + 1), [None] * (rho + 1)
+    for s, w in enumerate(weight):
+        down = up = 0
+        for us in code.unit_syndromes:
+            nw = weight[s ^ us]
+            if nw == w - 1:
+                down += 1
+            elif nw == w + 1:
+                up += 1
+        if first[w] is None:
+            first[w], b_vals[w], c_vals[w] = s, up, down
+        elif (c_vals[w], b_vals[w]) != (down, up):
+            witness = {
+                "weight": w,
+                "coset_a": first[w],
+                "coset_b": s,
+                "counts_a": (c_vals[w], b_vals[w]),
+                "counts_b": (down, up),
+            }
+            return RegularityReport(False, None, witness)
+    return RegularityReport(True, IntersectionArray(b=tuple(b_vals[:rho]), c=tuple(c_vals[1:])))

@@ -130,6 +130,21 @@ def test_config_errors_exit_3(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_internal_error_exits_4(capsys, monkeypatch):
+    # an exception other than ValueError is a fault of the program: one line
+    # on stderr, no traceback, and its own exit code
+    def broken(ws, m):
+        raise RuntimeError("orbit mixes coset weights")
+        yield
+
+    monkeypatch.setitem(cli._SUITE_FN, "cr", broken)
+    code = cli.main(["verify", "--m", "4", "--suite", "cr"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: orbit mixes coset weights\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["build", "export"])
 def test_bad_level_writes_no_file(capsys, tmp_path, command):
     code = cli.main([command, "--m", "4", "--levels", "0,9", "--out", str(tmp_path)])
@@ -216,6 +231,23 @@ def test_conjecture_json(capsys):
     assert [row["level"] for row in report["results"]] == [0, 1, 2]
     assert all(row["verdict"] == "certified" for row in report["results"])
     assert all(row["predicted"] for row in report["results"])
+
+
+def test_conjecture_m8(capsys):
+    t0 = time.perf_counter()
+    code, report = run_json(capsys, ["conjecture", "--m", "8"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    got = [(r["level"], r["rho"], r["orbit_count"], r["group"], r["predicted"], r["verdict"])
+           for r in report["results"]]
+    assert got == [
+        (0, 1, 2, "GL2", True, "certified"),
+        (1, 3, 4, "SL2", True, "certified"),
+        (2, 3, 6, "SL2+frob", True, "undetermined"),
+        (3, 3, 8, "SL2+frob", False, "undetermined"),
+        (4, 3, 4, "GL2", True, "certified"),
+    ]
+    assert elapsed < 30.0, f"m=8 conjecture survey took {elapsed:.1f}s"
 
 
 def test_conjecture_alternate_polynomial(capsys):

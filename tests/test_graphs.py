@@ -258,7 +258,7 @@ def test_antipodal_m4(graphs4, tables4):
     # the zero fibre is the zero coset plus every deepest coset
     anti2 = check_antipodal(graphs4[2])
     zero_block = next(b for b in anti2.fibres if 0 in b)
-    weights = sorted(tables4[2].weight_of(s) for s in zero_block)
+    weights = sorted(int(tables4[2].weights[s]) for s in zero_block)
     assert weights == [0, 3, 3, 3]
     assert not check_antipodal(graphs4[0]).applicable
 
@@ -293,7 +293,7 @@ def test_covers_m4(chain4, graphs4, tables4):
             # the linear projection agrees with the coarse syndrome of each
             # fine coset leader
             assert rep.projection == tuple(
-                chain4[j].syndrome(tables4[i].leader_of(s))
+                chain4[j].syndrome(tables4[i].records[s].leader)
                 for s in range(graphs4[i].vertex_count)
             )
 
@@ -305,7 +305,7 @@ def test_covers_m6_and_composition(chain6, graphs6, tables6):
             rep = verify_cover(graphs6[i], graphs6[j], chain6[i], chain6[j])
             assert rep.verdict and rep.fibre_size == 1 << (i - j)
             assert rep.projection == tuple(
-                chain6[j].syndrome(tables6[i].leader_of(s))
+                chain6[j].syndrome(tables6[i].records[s].leader)
                 for s in range(graphs6[i].vertex_count)
             )
             projs[i, j] = rep.projection
@@ -389,7 +389,10 @@ def test_edge_list_and_json(graphs4):
     import json
 
     payload = json.loads(export_graph(g, "json"))
-    assert payload["vertices"] == 64
-    assert payload["adjacency"][0] == [int(w) for w in g.adjacency[0]]
+    assert payload == {"vertices": 64, "adjacency": g.adjacency.tolist()}
+    folded = fold(g, check_antipodal(g).fibres)
+    assert json.loads(export_graph(folded, "json")) == {
+        "vertices": folded.vertex_count, "adjacency": [list(r) for r in folded.adjacency],
+    }
     with pytest.raises(ValueError, match="format"):
         export_graph(g, "dot")

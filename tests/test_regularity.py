@@ -25,6 +25,7 @@ from crcodes.regularity import (
 )
 from oracles import (
     extended_weight4_codewords,
+    loop_completely_regular,
     verify_design,
     weight3_codewords,
     weight4_codewords,
@@ -123,6 +124,14 @@ def test_completely_regular_and_arrays_m6(chain6, tables6):
         assert rep.completely_regular
         assert rep.array == cria_array(6, i)
         assert rep.distributions_uniform is True
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_counts_match_loop_oracle(m, request):
+    for code in request.getfixturevalue(f"chain{m}"):
+        for c in (code, extend_code(code)):
+            table = enumerate_cosets(c, with_distributions=False)
+            assert verify_completely_regular(c, table) == loop_completely_regular(c, table)
 
 
 def test_array_formulas():
@@ -338,4 +347,7 @@ def test_regularity_witness_on_non_cr_code(ctx4):
     rep = verify_completely_regular(shim, table)
     assert not rep.completely_regular
     assert rep.array is None
-    assert rep.witness is not None and rep.witness["weight"] == 1
+    assert rep.witness == {
+        "weight": 1, "coset_a": 3, "coset_b": 4, "counts_a": (1, 0), "counts_b": (1, 4),
+    }
+    assert loop_completely_regular(shim, table) == rep

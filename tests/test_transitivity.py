@@ -9,12 +9,13 @@ from crcodes.codes import build_chain, extend_code
 from crcodes.field import build_field_context
 from crcodes.regularity import coset_weight_distribution, enumerate_cosets
 from crcodes.transitivity import (
+    ActingGroup,
     Mat2,
-    act_on_coset,
     certify_transitivity,
     compose_permutations,
     conjecture_predicate,
     conjecture_report,
+    coset_action,
     default_acting_group,
     extended_orbits,
     frobenius_permutation,
@@ -27,11 +28,11 @@ from crcodes.transitivity import (
     matrix_to_permutation,
     orbit_weight2_structure,
     orbits_on_cosets,
-    permute_word,
     semilinear_extension,
     sl2_generators,
     translation_permutation,
 )
+from oracles import leader_orbits, permute_word, stabilizes_by_rows
 
 
 def matrix_closure(gens, gu):
@@ -133,19 +134,62 @@ def test_frobenius_preserves_hamming(ctx4, chain4):
         assert hamming.contains(permute_word(perm, row))
 
 
-def test_act_on_coset_basics(ctx4, chain4, tables4):
+def test_coset_action_basics(ctx4, chain4, tables4):
     code, table = chain4[2], tables4[2]
-    ident = tuple(range(code.length))
-    for s in (0, 5, 17, 40):
-        assert act_on_coset(ident, s, code, table) == s
+    assert coset_action(tuple(range(code.length)), code).tolist() == list(range(len(table)))
     for g in gl2_generators(ctx4):
-        perm = matrix_to_permutation(ctx4, g)
-        assert act_on_coset(perm, 0, code, table) == 0
+        image = coset_action(matrix_to_permutation(ctx4, g), code)
+        assert image[0] == 0
+        assert sorted(image.tolist()) == list(range(len(table)))
         for s in (3, 21, 49):
-            t = act_on_coset(perm, s, code, table)
+            t = int(image[s])
             assert coset_weight_distribution(
-                code, table.leader_of(t)
-            ) == coset_weight_distribution(code, table.leader_of(s))
+                code, table.records[t].leader
+            ) == coset_weight_distribution(code, table.records[s].leader)
+
+
+def _generator_sets(ctx, code):
+    """The default group's permutations and, where label squarings fit the
+    code, those of the group widened by them."""
+    group = default_acting_group(code)
+    sets = {"default": group.permutations(ctx)}
+    semi = semilinear_extension(code)
+    if semi:
+        sets["+frob"] = ActingGroup(group.name, group.matrices, semi).permutations(ctx)
+    return sets
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_linear_orbits_match_leader_oracle(m, request):
+    ctx = request.getfixturevalue(f"ctx{m}")
+    chain = request.getfixturevalue(f"chain{m}")
+    translations = [translation_permutation(ctx, 1 << k) for k in range(m)]
+    seen = set()
+    for i, code in enumerate(chain):
+        star = extend_code(code)
+        for name, perms in _generator_sets(ctx, code).items():
+            lifted = [lift_permutation(p) for p in perms] + translations
+            for c, gens, label in ((code, perms, name), (star, lifted, name + "+translations")):
+                table = enumerate_cosets(c, with_distributions=False)
+                got = orbits_on_cosets(gens, c, table)
+                assert got == leader_orbits(gens, c, table), (i, label)
+                seen.add(label)
+    assert seen == {"default", "+frob", "default+translations", "+frob+translations"}
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_stabilizer_test_matches_row_membership(m, request):
+    ctx = request.getfixturevalue(f"ctx{m}")
+    verdicts = []
+    for code in request.getfixturevalue(f"chain{m}"):
+        star = extend_code(code)
+        for d in range(1, ctx.q):
+            perm = matrix_to_permutation(ctx, Mat2(d, 0, 0, 1))
+            for c, p in ((code, perm), (star, lift_permutation(perm))):
+                linear = coset_action(p, c) is not None
+                assert linear == stabilizes_by_rows(p, c), (code.level, d, c.extended)
+                verdicts.append(linear)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_orbit_counts_m4(chain4, tables4):
@@ -180,7 +224,6 @@ def test_sl2_alone_leaves_middle_level_uncertified(ctx6, chain6, tables6):
     assert semi
     group = default_acting_group(code)
     wider = group.permutations(ctx6)
-    from crcodes.transitivity import ActingGroup
 
     full = ActingGroup(group.name, group.matrices, semi).permutations(ctx6)
     part2 = orbits_on_cosets(full, code, table)

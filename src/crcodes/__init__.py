@@ -22,9 +22,8 @@ from .regularity import (
     CosetTable,
     IntersectionArray,
     check_design,
-    coset_weight_distribution,
     cria_array,
-    enumerate_cosets,
+    distributions_uniform,
     extended_cria_array,
     verify_completely_regular,
     verify_extended_array,
@@ -67,9 +66,8 @@ __all__ = [
     "CosetTable",
     "IntersectionArray",
     "check_design",
-    "coset_weight_distribution",
     "cria_array",
-    "enumerate_cosets",
+    "distributions_uniform",
     "extended_cria_array",
     "verify_completely_regular",
     "verify_extended_array",

@@ -33,10 +33,11 @@ from .graphs import (
     verify_antipodal_cover_array,
 )
 from .regularity import (
+    CosetTable,
     check_design,
     cria_array,
     design_lambda,
-    enumerate_cosets,
+    distributions_uniform,
     extended_cria_array,
     verify_completely_regular,
     verify_extended_array,
@@ -124,8 +125,8 @@ class Workspace:
         return self._cache[key]
 
     def has_distributions(self, m) -> bool:
-        """Coset tables carry weight distributions, an O(4^r) transform,
-        only up to m = 6."""
+        """Coset weight distributions are checked only up to m = 6: the
+        dual-side transform costs O(4^r) per code."""
         return m <= 6
 
     def ctx(self, m):
@@ -140,11 +141,7 @@ class Workspace:
         return self.chain(m)[i]
 
     def table(self, m, i, ext=False):
-        key = ("table", m, i, ext)
-        dists = self.has_distributions(m)
-        return self._get(
-            key, lambda: enumerate_cosets(self.code(m, i, ext), with_distributions=dists)
-        )
+        return self._get(("table", m, i, ext), lambda: CosetTable(self.code(m, i, ext)))
 
     def graph(self, m, i, ext=False):
         return self._get(("graph", m, i, ext), lambda: build_coset_graph(self.code(m, i, ext)))
@@ -159,10 +156,10 @@ def _verdict(ok) -> str:
     return PASS if ok else FAIL
 
 
-def _distribution_rows(ws: Workspace, m: int, i: int, ext: bool, rep) -> Iterator[Row]:
+def _distribution_rows(ws: Workspace, m: int, i: int, ext: bool) -> Iterator[Row]:
     """Are coset weight distributions constant on each weight class?"""
     if ws.has_distributions(m):
-        uniform = rep.distributions_uniform
+        uniform = distributions_uniform(ws.code(m, i, ext), ws.table(m, i, ext))
         yield ("coset-distributions-uniform", i, ext, _verdict(uniform),
                "one distribution per coset weight", f"uniform={uniform}", None)
 
@@ -179,7 +176,7 @@ def suite_cr(ws: Workspace, m: int) -> Iterator[Row]:
         mu_rep = verify_mu_identity(ws.table(m, i), expected)
         yield ("mu-identity", i, False, _verdict(mu_rep.ok),
                "b_l*mu_l = c_(l+1)*mu_(l+1)", f"mu={mu_rep.mu}", None)
-        yield from _distribution_rows(ws, m, i, False, rep)
+        yield from _distribution_rows(ws, m, i, False)
     top = chain[-1]
     if ws.exhaustive and m == 4:
         vectors = range(1 << top.length)
@@ -309,7 +306,7 @@ def suite_extended(ws: Workspace, m: int) -> Iterator[Row]:
                    _verdict(not ext_rep.matches_variant_form),
                    "computed array differs from the +1 variant",
                    f"matches_variant={ext_rep.matches_variant_form}", None)
-        yield from _distribution_rows(ws, m, i, True, rep)
+        yield from _distribution_rows(ws, m, i, True)
 
 
 _SUITE_FN = {

@@ -10,7 +10,6 @@ __all__ = [
     "bit_support",
     "gf2_rref",
     "gf2_rank",
-    "gf2_in_rowspan",
     "gf2_nullspace",
     "gf2_span",
     "gf2_linear_map",
@@ -48,14 +47,6 @@ def gf2_rref(rows: Iterable[int], n_cols: int) -> Tuple[List[int], List[int]]:
 
 def gf2_rank(rows: Iterable[int], n_cols: int) -> int:
     return len(gf2_rref(rows, n_cols)[0])
-
-
-def gf2_in_rowspan(v: int, rref_rows: List[int], pivots: List[int]) -> bool:
-    """Membership of v in the span of rows already in RREF."""
-    for r, p in zip(rref_rows, pivots):
-        if (v >> p) & 1:
-            v ^= r
-    return v == 0
 
 
 def gf2_nullspace(rows: Iterable[int], n_cols: int) -> List[int]:

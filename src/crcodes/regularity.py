@@ -1,10 +1,12 @@
 """Coset regularity: weight partitions, intersection numbers, designs.
 
 Every coset of a chain code is identified with its packed syndrome, so the
-coset space is the dense range [0, 2^(n-k)).  Coset weights come from a BFS
-over syndromes (neighbors differ by a unit-vector syndrome), leaders from a
-lexicographic scan by increasing weight, and full coset weight distributions
-from the dual-side transform with exact integer Krawtchouk coefficients.
+coset space is the dense range [0, 2^(n-k)).  A coset table is the array of
+coset weights, from a BFS over syndromes (neighbors differ by a unit-vector
+syndrome); complete regularity, the coset count identity and uniform packing
+read nothing else.  Whether coset weight distributions are constant on each
+weight class is checked through the dual-side transform with exact integer
+Krawtchouk coefficients.
 Complete regularity is read off the weight array: the coset s ^ U[p] is
 s's neighbour through position p, so one vectorised pass per unit syndrome
 gives every coset's counts c_l (down) and b_l (up) at once.
@@ -16,16 +18,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .codes import LinearCode, dual_spectrum
 
 __all__ = [
-    "CosetRecord",
     "CosetTable",
     "IntersectionArray",
     "RegularityReport",
@@ -33,8 +33,7 @@ __all__ = [
     "MuReport",
     "DesignReport",
     "ExtendedArrayReport",
-    "enumerate_cosets",
-    "coset_weight_distribution",
+    "distributions_uniform",
     "verify_completely_regular",
     "cria_array",
     "extended_cria_array",
@@ -47,31 +46,39 @@ __all__ = [
     "verify_extended_array",
 ]
 
-# combination scans above this size fall back to BFS-tree leaders
-_SCAN_LIMIT = 5_000_000
-
-
-@dataclass(frozen=True)
-class CosetRecord:
-    syndrome: int
-    weight: int
-    leader: int
-    distribution: Optional[Tuple[int, ...]] = None
-
 
 class CosetTable:
-    """All cosets of one code, indexed by packed syndrome."""
+    """Weights of all cosets of one code, indexed by packed syndrome.
 
-    def __init__(self, code: LinearCode, records: List[CosetRecord]):
+    A BFS from syndrome 0 gives them: the neighbours of a coset are its
+    sums with the unit syndromes.
+    """
+
+    def __init__(self, code: LinearCode):
+        if code.syndrome_width > 20:
+            raise ValueError("coset enumeration capped at 2^20 syndromes")
+        units = code.unit_syndromes
+        weight = [-1] * (1 << code.syndrome_width)
+        weight[0] = 0
+        queue = deque([0])
+        while queue:
+            s = queue.popleft()
+            w = weight[s] + 1
+            for us in units:
+                t = s ^ us
+                if weight[t] < 0:
+                    weight[t] = w
+                    queue.append(t)
+        if min(weight) < 0:
+            raise RuntimeError("syndrome space is not connected by unit syndromes")
         self.code = code
-        self.records = records
         # weights[s] is the weight of the coset with syndrome s
-        self.weights = np.array([r.weight for r in records], dtype=np.int64)
+        self.weights = np.array(weight, dtype=np.int64)
         self.rho = int(self.weights.max())
         self.mu: Tuple[int, ...] = tuple(np.bincount(self.weights).tolist())
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.weights)
 
 
 def _dual_weight_table(code: LinearCode) -> List[int]:
@@ -120,81 +127,22 @@ def _distribution_from_syndrome(
     return tuple(dist)
 
 
-def coset_weight_distribution(code: LinearCode, v: int) -> Tuple[int, ...]:
-    """Weight distribution of the coset of v, from the dual-side transform."""
+def _coset_distributions(code: LinearCode) -> Iterator[Tuple[int, ...]]:
+    """Weight distribution of every coset in syndrome order, each from the
+    dual-side transform: O(4^r) in all."""
     dual_wt = _dual_weight_table(code)
     kraw = _krawtchouk_matrix(code.length)
-    return _distribution_from_syndrome(code.syndrome(v), dual_wt, kraw, code.length)
+    for s in range(len(dual_wt)):
+        yield _distribution_from_syndrome(s, dual_wt, kraw, code.length)
 
 
-def enumerate_cosets(code: LinearCode, with_distributions: bool = True) -> CosetTable:
-    """Weights, canonical leaders and (optionally) distributions of all cosets."""
-    if code.syndrome_width > 20:
-        raise ValueError("coset enumeration capped at 2^20 syndromes")
-    units = code.unit_syndromes
-    size = 1 << code.syndrome_width
-    weight = [-1] * size
-    pred: List[Tuple[int, int]] = [(-1, -1)] * size
-    weight[0] = 0
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
-        w = weight[s]
-        for p, us in enumerate(units):
-            t = s ^ us
-            if weight[t] < 0:
-                weight[t] = w + 1
-                pred[t] = (s, p)
-                queue.append(t)
-    if min(weight) < 0:
-        raise RuntimeError("syndrome space is not connected by unit syndromes")
-    rho = max(weight)
-
-    leader: List[int] = [-1] * size
-    leader[0] = 0
-    assigned = 1
-    for w in range(1, rho + 1):
-        remaining = sum(1 for s in range(size) if weight[s] == w)
-        if comb(code.length, w) <= _SCAN_LIMIT:
-            for support in combinations(range(code.length), w):
-                s = 0
-                for p in support:
-                    s ^= units[p]
-                if leader[s] < 0:
-                    v = 0
-                    for p in support:
-                        v |= 1 << p
-                    leader[s] = v
-                    assigned += 1
-                    remaining -= 1
-                    if remaining == 0:
-                        break
-        else:
-            # deterministic BFS-tree representatives; weights stay exact
-            for s in range(size):
-                if weight[s] == w and leader[s] < 0:
-                    v = 0
-                    t = s
-                    while t:
-                        t, p = pred[t]
-                        v |= 1 << p
-                    leader[s] = v
-                    assigned += 1
-    if assigned != size:
-        raise RuntimeError("leader assignment incomplete")
-
-    dists: List[Optional[Tuple[int, ...]]] = [None] * size
-    if with_distributions:
-        dual_wt = _dual_weight_table(code)
-        kraw = _krawtchouk_matrix(code.length)
-        for s in range(size):
-            dists[s] = _distribution_from_syndrome(s, dual_wt, kraw, code.length)
-
-    records = [
-        CosetRecord(syndrome=s, weight=weight[s], leader=leader[s], distribution=dists[s])
-        for s in range(size)
-    ]
-    return CosetTable(code, records)
+def distributions_uniform(code: LinearCode, table: CosetTable) -> bool:
+    """Do all cosets of one weight have the same weight distribution?"""
+    per_weight: Dict[int, Tuple[int, ...]] = {}
+    for w, dist in zip(table.weights.tolist(), _coset_distributions(code)):
+        if per_weight.setdefault(w, dist) != dist:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -228,7 +176,6 @@ class RegularityReport:
     completely_regular: bool
     array: Optional[IntersectionArray]
     witness: Optional[Dict[str, object]] = None
-    distributions_uniform: Optional[bool] = None
 
 
 def verify_completely_regular(code: LinearCode, table: CosetTable) -> RegularityReport:
@@ -260,16 +207,7 @@ def verify_completely_regular(code: LinearCode, table: CosetTable) -> Regularity
         }
         return RegularityReport(False, None, witness)
     array = IntersectionArray(b=tuple(b_vals[:rho].tolist()), c=tuple(c_vals[1:].tolist()))
-    uniform: Optional[bool] = None
-    if all(r.distribution is not None for r in table.records):
-        per_weight: Dict[int, Tuple[int, ...]] = {}
-        uniform = True
-        for r in table.records:
-            seen = per_weight.setdefault(r.weight, r.distribution)  # type: ignore[arg-type]
-            if seen != r.distribution:
-                uniform = False
-                break
-    return RegularityReport(True, array, None, uniform)
+    return RegularityReport(True, array)
 
 
 def cria_array(m: int, i: int) -> IntersectionArray:

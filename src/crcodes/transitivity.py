@@ -29,7 +29,7 @@ import numpy as np
 from .codes import LinearCode
 from .field import FieldContext, GF2Ext, QuadPair
 from .gf2 import gf2_linear_map, gf2_span
-from .regularity import CosetTable, enumerate_cosets
+from .regularity import CosetTable
 
 __all__ = [
     "Mat2",
@@ -162,7 +162,7 @@ def orbits_on_cosets(
 ) -> OrbitPartition:
     """Orbit partition of all cosets under the generated permutation group."""
     if table is None:
-        table = enumerate_cosets(code, with_distributions=False)
+        table = CosetTable(code)
     maps = []
     for gi, perm in enumerate(gens):
         if len(perm) != code.length:
@@ -215,7 +215,7 @@ def orbit_weight2_structure(code: LinearCode, table: Optional[CosetTable] = None
         raise ValueError("weight-2 census applies to the unextended top level")
     ctx = code.ctx
     if table is None:
-        table = enumerate_cosets(code, with_distributions=False)
+        table = CosetTable(code)
     exp, log, qterm = ctx.gm.exp, ctx.gm.log, ctx.qterm
     identity_ok = True
     for a in range(ctx.n):
@@ -225,14 +225,14 @@ def orbit_weight2_structure(code: LinearCode, table: Optional[CosetTable] = None
             det = ctx.pair_det(pa, pb)
             if qterm[log[h]] != qterm[a] ^ qterm[b] ^ det:
                 identity_ok = False
-    weight2 = [r for r in table.records if r.weight == 2]
+    weight2 = np.flatnonzero(table.weights == 2).tolist()
     all_det = True
-    for rec in weight2:
+    for s in weight2:
         found = False
         for a in range(ctx.n):
             sa = code.unit_syndromes[a]
             for b in range(a + 1, ctx.n):
-                if sa ^ code.unit_syndromes[b] == rec.syndrome:
+                if sa ^ code.unit_syndromes[b] == s:
                     if ctx.pair_det(ctx.quad_pairs[a], ctx.quad_pairs[b]) != 0:
                         found = True
                         break
@@ -385,7 +385,7 @@ def certify_transitivity(
     rho+1 orbits; otherwise undetermined with the best orbit count found."""
     ctx = code.ctx
     if table is None:
-        table = enumerate_cosets(code, with_distributions=False)
+        table = CosetTable(code)
     orbits, name = _fewest_orbits(code, table, code, lambda g: g.permutations(ctx))
     return CTReport(
         m=ctx.m,
@@ -411,7 +411,7 @@ def extended_orbits(
     assert base is not None
     ctx = code_star.ctx
     if table is None:
-        table = enumerate_cosets(code_star, with_distributions=False)
+        table = CosetTable(code_star)
     translations = [translation_permutation(ctx, 1 << k) for k in range(ctx.m)]
     orbits, name = _fewest_orbits(
         code_star, table, base,

@@ -2,7 +2,7 @@ import pytest
 
 from crcodes.codes import build_chain
 from crcodes.field import build_field_context
-from crcodes.regularity import enumerate_cosets
+from crcodes.regularity import CosetTable
 
 
 @pytest.fixture(scope="session")
@@ -27,9 +27,9 @@ def chain6(ctx6):
 
 @pytest.fixture(scope="session")
 def tables4(chain4):
-    return [enumerate_cosets(code) for code in chain4]
+    return [CosetTable(code) for code in chain4]
 
 
 @pytest.fixture(scope="session")
 def tables6(chain6):
-    return [enumerate_cosets(code) for code in chain6]
+    return [CosetTable(code) for code in chain6]

@@ -1,9 +1,10 @@
 """Brute-force references that the tests compare the library against.
 
 Nothing in the package calls these: designs are checked there from a
-histogram of pair syndromes, graph6 is only ever written, cosets are moved
-by a linear map of syndromes rather than by their leaders, and complete
-regularity is counted over the whole weight array at once.
+histogram of pair syndromes, graph6 is only ever written, cosets are known
+by their weights alone and moved by a linear map of syndromes rather than by
+their leaders, and complete regularity is counted over the whole weight
+array at once.
 """
 
 from collections import deque
@@ -116,18 +117,38 @@ def stabilizes_by_rows(perm, code):
     return all(code.contains(permute_word(perm, row)) for row in code.generator_rows)
 
 
-def act_on_coset(perm, syndrome, code, table):
+def coset_leaders(code):
+    """Leader of every coset, indexed by syndrome: the word whose support is
+    the lexicographically least among the coset's minimum-weight words,
+    found by scanning supports by increasing weight."""
+    units = code.unit_syndromes
+    leader = [None] * (1 << code.syndrome_width)
+    left = len(leader)
+    for w in range(code.length + 1):
+        for support in combinations(range(code.length), w):
+            s = 0
+            for p in support:
+                s ^= units[p]
+            if leader[s] is None:
+                leader[s] = sum(1 << p for p in support)
+                left -= 1
+                if not left:
+                    return leader
+    raise RuntimeError("syndrome space is not connected by unit syndromes")
+
+
+def act_on_coset(perm, syndrome, code, leaders):
     """Syndrome of the permuted leader of a coset."""
     s = 0
-    for p in bit_support(table.records[syndrome].leader):
+    for p in bit_support(leaders[syndrome]):
         s ^= code.unit_syndromes[perm[p]]
     return s
 
 
-def leader_orbits(gens, code, table):
+def leader_orbits(gens, code, leaders):
     """Orbit partition by BFS from each unvisited syndrome in increasing
     order, moving cosets by their leaders."""
-    size = len(table)
+    size = len(leaders)
     class_of = [-1] * size
     weights, sizes = [], []
     for s0 in range(size):
@@ -140,12 +161,12 @@ def leader_orbits(gens, code, table):
         while queue:
             s = queue.popleft()
             for perm in gens:
-                t = act_on_coset(perm, s, code, table)
+                t = act_on_coset(perm, s, code, leaders)
                 if class_of[t] < 0:
                     class_of[t] = oid
                     members += 1
                     queue.append(t)
-        weights.append(table.records[s0].weight)
+        weights.append(leaders[s0].bit_count())
         sizes.append(members)
     return OrbitPartition(tuple(class_of), len(weights), tuple(weights), tuple(sizes))
 
@@ -154,7 +175,7 @@ def loop_completely_regular(code, table):
     """Complete regularity by visiting each coset and each of its n
     neighbours; the witness is the first coset, in syndrome order, whose
     counts differ from the first coset of its weight."""
-    weight = [r.weight for r in table.records]
+    weight = table.weights.tolist()
     rho = max(weight)
     b_vals, c_vals, first = [None] * (rho + 1), [None] * (rho + 1), [None] * (rho + 1)
     for s, w in enumerate(weight):

@@ -27,16 +27,18 @@ from crcodes.graphs import (
     verify_antipodal_cover_array,
 )
 from crcodes.regularity import (
+    CosetTable,
+    _coset_distributions,
     check_design,
     cria_array,
     design_lambda,
-    enumerate_cosets,
     extended_cria_array,
     verify_completely_regular,
     verify_extended_array,
     verify_mu_identity,
 )
 from crcodes.transitivity import certify_transitivity, conjecture_report, extended_orbits
+from oracles import coset_leaders
 
 
 def record(number, label, problems, seconds, limit=None):
@@ -112,7 +114,7 @@ def test_criterion_03_extended_arrays(chain4, chain6):
     for m, chain in ((4, chain4), (6, chain6)):
         for i in range(1, m // 2 + 1):
             star = extend_code(chain[i])
-            table = enumerate_cosets(star)
+            table = CosetTable(star)
             rep = verify_extended_array(star, table)
             if not rep.regularity.completely_regular:
                 problems.append(f"m={m} i={i} extension not completely regular")
@@ -197,18 +199,19 @@ def test_criterion_07_transform_oracle(chain4):
     t0 = time.perf_counter()
     problems = []
     for code, label in ((chain4[2], "plain"), (extend_code(chain4[2]), "extended")):
-        table = enumerate_cosets(code)
+        dists = list(_coset_distributions(code))
+        leaders = coset_leaders(code)
         words = list(code.codewords())
         expected_cosets = 64 if label == "plain" else 128
-        if len(table.records) != expected_cosets:
-            problems.append(f"{label}: {len(table.records)} cosets")
-        for rec in table.records:
+        if len(dists) != expected_cosets:
+            problems.append(f"{label}: {len(dists)} cosets")
+        for s, (dist, leader) in enumerate(zip(dists, leaders)):
             hist = [0] * (code.length + 1)
             for c in words:
-                hist[(rec.leader ^ c).bit_count()] += 1
-            if tuple(hist) != rec.distribution:
+                hist[(leader ^ c).bit_count()] += 1
+            if tuple(hist) != dist:
                 problems.append(
-                    f"{label} syndrome {rec.syndrome:#x}: transform differs "
+                    f"{label} syndrome {s:#x}: transform differs "
                     f"from enumeration"
                 )
                 break
@@ -235,7 +238,7 @@ def test_criterion_08_complete_transitivity(chain4, tables4, chain6, tables6):
             problems.append(f"m={m} base: {base.orbit_count} orbits")
         for i in (1, u):
             star = extend_code(chain[i])
-            part, name = extended_orbits(star, enumerate_cosets(star))
+            part, name = extended_orbits(star, CosetTable(star))
             if part.orbit_count != 5:
                 problems.append(f"m={m} i={i} extended: {part.orbit_count} via {name}")
     for rep in conjecture_report(6):

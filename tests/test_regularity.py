@@ -11,9 +11,8 @@ from crcodes.regularity import (
     CosetTable,
     check_design,
     cria_array,
-    coset_weight_distribution,
     design_lambda,
-    enumerate_cosets,
+    distributions_uniform,
     extended_cria_array,
     extended_array_variant,
     verify_completely_regular,
@@ -21,9 +20,11 @@ from crcodes.regularity import (
     verify_extension_condition,
     verify_mu_identity,
     verify_uniformly_packed,
+    _coset_distributions,
     _krawtchouk_matrix,
 )
 from oracles import (
+    coset_leaders,
     extended_weight4_codewords,
     loop_completely_regular,
     verify_design,
@@ -71,43 +72,42 @@ def test_mu_m6(tables6):
 
 
 def test_leaders_are_canonical_m4(chain4, tables4):
-    # exhaustive: leader weight is the coset weight, and the support tuple is
-    # lexicographically least among minimum-weight coset members
+    # exhaustive: the table's weight is the least weight in each coset, and
+    # the oracle's leader has the lexicographically least support among the
+    # coset's minimum-weight members
     code = chain4[1]
-    table = tables4[1]
     best = {}
     for v in range(1 << code.length):
         s = code.syndrome(v)
         key = (v.bit_count(), tuple(i for i in range(code.length) if v >> i & 1))
         if s not in best or key < best[s]:
             best[s] = key
-    for rec in table.records:
-        w, support = best[rec.syndrome]
-        assert rec.weight == w
-        assert rec.leader == sum(1 << p for p in support)
-        assert code.syndrome(rec.leader) == rec.syndrome
+    assert len(best) == len(tables4[1])
+    assert tables4[1].weights.tolist() == [best[s][0] for s in range(len(best))]
+    leaders = coset_leaders(code)
+    for s, leader in enumerate(leaders):
+        assert leader == sum(1 << p for p in best[s][1])
+        assert code.syndrome(leader) == s
 
 
-def test_distributions_match_brute_force_m4(chain4, tables4):
-    for code, table in zip(chain4[1:], tables4[1:]):
-        for rec in table.records:
-            assert rec.distribution == brute_coset_distribution(code, rec.leader)
+def test_distributions_match_brute_force_m4(chain4):
+    for code in chain4[1:]:
+        for dist, leader in zip(_coset_distributions(code), coset_leaders(code)):
+            assert dist == brute_coset_distribution(code, leader)
 
 
 def test_extended_distributions_match_brute_force_m4(chain4):
     for code in chain4[1:]:
         star = extend_code(code)
-        table = enumerate_cosets(star)
-        for rec in table.records:
-            assert rec.distribution == brute_coset_distribution(star, rec.leader)
+        for dist, leader in zip(_coset_distributions(star), coset_leaders(star)):
+            assert dist == brute_coset_distribution(star, leader)
 
 
 def test_coset_weight_distribution_single_calls(chain4):
     code = chain4[2]
+    dists = list(_coset_distributions(code))
     for v in (0b1, 0b1010010, (1 << 14) | 0b11):
-        assert coset_weight_distribution(code, v) == brute_coset_distribution(
-            code, v
-        )
+        assert dists[code.syndrome(v)] == brute_coset_distribution(code, v)
 
 
 def test_completely_regular_and_arrays_m4(chain4, tables4):
@@ -115,7 +115,7 @@ def test_completely_regular_and_arrays_m4(chain4, tables4):
         rep = verify_completely_regular(code, table)
         assert rep.completely_regular
         assert rep.array == cria_array(4, i)
-        assert rep.distributions_uniform is True
+        assert distributions_uniform(code, table) is True
 
 
 def test_completely_regular_and_arrays_m6(chain6, tables6):
@@ -123,14 +123,14 @@ def test_completely_regular_and_arrays_m6(chain6, tables6):
         rep = verify_completely_regular(code, table)
         assert rep.completely_regular
         assert rep.array == cria_array(6, i)
-        assert rep.distributions_uniform is True
+        assert distributions_uniform(code, table) is True
 
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_counts_match_loop_oracle(m, request):
     for code in request.getfixturevalue(f"chain{m}"):
         for c in (code, extend_code(code)):
-            table = enumerate_cosets(c, with_distributions=False)
+            table = CosetTable(c)
             assert verify_completely_regular(c, table) == loop_completely_regular(c, table)
 
 
@@ -155,7 +155,7 @@ def test_extended_arrays_m4(chain4):
         if i == 0:
             continue
         star = extend_code(code)
-        table = enumerate_cosets(star)
+        table = CosetTable(star)
         rep = verify_extended_array(star, table)
         assert rep.regularity.completely_regular
         assert rep.matches_extended_form
@@ -168,7 +168,7 @@ def test_extended_arrays_m6(chain6):
         if i == 0:
             continue
         star = extend_code(code)
-        table = enumerate_cosets(star, with_distributions=False)
+        table = CosetTable(star)
         rep = verify_extended_array(star, table)
         assert rep.regularity.completely_regular
         assert rep.matches_extended_form
@@ -177,7 +177,7 @@ def test_extended_arrays_m6(chain6):
 
 def test_extended_hamming_array_m4(chain4):
     star = extend_code(chain4[0])
-    table = enumerate_cosets(star)
+    table = CosetTable(star)
     rep = verify_completely_regular(star, table)
     assert rep.completely_regular
     assert rep.array == extended_cria_array(4, 0)
@@ -203,7 +203,7 @@ def test_uniformly_packed(chain4, tables4):
         assert rep.uniformly_packed
         assert rep.rho == rep.s == (1 if i == 0 else 3)
     star = extend_code(chain4[2])
-    table = enumerate_cosets(star)
+    table = CosetTable(star)
     rep = verify_uniformly_packed(star, table)
     assert rep.uniformly_packed and rep.rho == 4
 
@@ -321,29 +321,18 @@ def test_extension_condition(chain4, chain6):
     assert verify_extension_condition(star) is None
 
 
-def test_bfs_fallback_leaders(chain4, tables4, monkeypatch):
-    monkeypatch.setattr(regularity, "_SCAN_LIMIT", 0)
-    code = chain4[1]
-    table = enumerate_cosets(code, with_distributions=False)
-    scan = tables4[1]
-    for rec, ref in zip(table.records, scan.records):
-        assert rec.weight == ref.weight
-        assert rec.leader.bit_count() == rec.weight
-        assert code.syndrome(rec.leader) == rec.syndrome
+def non_cr_shim(ctx4):
+    """Hamming rows plus a weight-2 dual row: a code that is not completely
+    regular, given by its unit syndromes and parity rows."""
+    units = tuple(ctx4.gm.exp[p] | ((1 << 4) if p in (0, 1) else 0) for p in range(15))
+    rows = tuple(sum(1 << p for p, us in enumerate(units) if us >> j & 1) for j in range(5))
+    return SimpleNamespace(length=15, syndrome_width=5, unit_syndromes=units, parity_rows=rows)
 
 
 def test_regularity_witness_on_non_cr_code(ctx4):
-    # Hamming rows plus a weight-2 dual row give a code that is not
-    # completely regular; the verifier must say so and name two cosets
-    class Shim:
-        length = 15
-        syndrome_width = 5
-        unit_syndromes = tuple(
-            ctx4.gm.exp[p] | ((1 << 4) if p in (0, 1) else 0) for p in range(15)
-        )
-
-    shim = Shim()
-    table = enumerate_cosets(shim, with_distributions=False)
+    # the verifier must say the code is not completely regular and name two cosets
+    shim = non_cr_shim(ctx4)
+    table = CosetTable(shim)
     rep = verify_completely_regular(shim, table)
     assert not rep.completely_regular
     assert rep.array is None
@@ -351,3 +340,15 @@ def test_regularity_witness_on_non_cr_code(ctx4):
         "weight": 1, "coset_a": 3, "coset_b": 4, "counts_a": (1, 0), "counts_b": (1, 4),
     }
     assert loop_completely_regular(shim, table) == rep
+
+
+def test_distributions_not_uniform_on_non_cr_code(ctx4):
+    shim = non_cr_shim(ctx4)
+    assert distributions_uniform(shim, CosetTable(shim)) is False
+
+
+def test_coset_table_needs_connected_units():
+    # the units span only the low 4 of 5 syndrome bits
+    stub = SimpleNamespace(syndrome_width=5, unit_syndromes=(1, 2, 4, 8, 3))
+    with pytest.raises(RuntimeError, match="not connected"):
+        CosetTable(stub)

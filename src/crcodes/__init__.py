@@ -40,7 +40,6 @@ from .graphs import (
     CosetGraph,
     build_coset_graph,
     check_antipodal,
-    check_distance_regular,
     export_graph,
     fold,
     verify_cover,
@@ -80,7 +79,6 @@ __all__ = [
     "CosetGraph",
     "build_coset_graph",
     "check_antipodal",
-    "check_distance_regular",
     "export_graph",
     "fold",
     "verify_cover",

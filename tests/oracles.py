@@ -3,8 +3,9 @@
 Nothing in the package calls these: designs are checked there from a
 histogram of pair syndromes, graph6 is only ever written, cosets are known
 by their weights alone and moved by a linear map of syndromes rather than by
-their leaders, and complete regularity is counted over the whole weight
-array at once.
+their leaders, complete regularity is counted over the whole weight
+array at once, and a coset graph is folded as the Cayley graph of a
+quotient group rather than by the edges that cross its fibres.
 """
 
 from collections import deque
@@ -14,6 +15,7 @@ from math import comb
 import numpy as np
 
 from crcodes.gf2 import bit_support
+from crcodes.graphs import FoldedGraph
 from crcodes.regularity import DesignReport, IntersectionArray, RegularityReport
 from crcodes.transitivity import OrbitPartition
 
@@ -198,3 +200,18 @@ def loop_completely_regular(code, table):
             }
             return RegularityReport(False, None, witness)
     return RegularityReport(True, IntersectionArray(b=tuple(b_vals[:rho]), c=tuple(c_vals[1:])))
+
+
+def fold_by_edges(adjacency, fibres):
+    """Quotient on the fibre partition, blocks adjacent when any edge
+    crosses between them; complete when every block meets all the others."""
+    blocks = len(fibres)
+    block_of = np.full(len(adjacency), -1, dtype=np.int64)
+    for i, block in enumerate(fibres):
+        block_of[list(block)] = i
+    if (block_of < 0).any():
+        raise ValueError("fibres do not cover the vertex set")
+    pairs = np.unique(block_of[:, None] * blocks + block_of[adjacency])
+    src, dst = np.divmod(pairs, blocks)
+    degree = np.bincount(src[src != dst], minlength=blocks)
+    return FoldedGraph(blocks, len(fibres[0]), bool((degree == blocks - 1).all()))

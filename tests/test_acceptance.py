@@ -21,7 +21,6 @@ from crcodes.gf2 import gf2_span
 from crcodes.graphs import (
     build_coset_graph,
     check_antipodal,
-    check_distance_regular,
     fold,
     verify_cover,
     verify_antipodal_cover_array,
@@ -256,34 +255,35 @@ def test_criterion_09_graph_suite(chain4, chain6):
     problems = []
     for m, chain in ((4, chain4), (6, chain6)):
         u = m // 2
-        graphs = {}
+        codes, tables = {}, {}
         for i in range(u + 1):
             for ext in (False, True):
-                code = extend_code(chain[i]) if ext else chain[i]
-                graphs[i, ext] = build_coset_graph(code)
+                codes[i, ext] = extend_code(chain[i]) if ext else chain[i]
+                tables[i, ext] = CosetTable(codes[i, ext])
+        graphs = {i: build_coset_graph(chain[i]) for i in range(u + 1)}
         for i in range(u + 1):
-            rep = check_distance_regular(graphs[i, False])
-            if not (rep.connected and rep.distance_regular
-                    and rep.array == cria_array(m, i)
-                    and rep.diameter == (1 if i == 0 else 3)):
-                problems.append(f"m={m} i={i}: D={rep.diameter} array={rep.array}")
-            rep_ext = check_distance_regular(graphs[i, True])
-            if i > 0 and not (rep_ext.distance_regular and rep_ext.diameter == 4
+            # a coset graph is distance-regular with its code's array
+            rep = verify_completely_regular(codes[i, False], tables[i, False])
+            diameter = tables[i, False].rho
+            if not (rep.completely_regular and rep.array == cria_array(m, i)
+                    and diameter == (1 if i == 0 else 3)):
+                problems.append(f"m={m} i={i}: D={diameter} array={rep.array}")
+            rep_ext = verify_completely_regular(codes[i, True], tables[i, True])
+            if i > 0 and not (rep_ext.completely_regular and tables[i, True].rho == 4
                               and rep_ext.array == extended_cria_array(m, i)):
-                problems.append(f"m={m} i={i} extended: D={rep_ext.diameter}")
+                problems.append(f"m={m} i={i} extended: D={tables[i, True].rho}")
             if i > 0:
-                anti = check_antipodal(graphs[i, False])
+                anti = check_antipodal(tables[i, False])
                 if not (anti.antipodal and anti.fibre_size == 1 << i):
                     problems.append(f"m={m} i={i}: fibre {anti.fibre_size}")
-                elif not fold(graphs[i, False], anti.fibres).is_complete:
+                elif not fold(chain[i], anti.fibres).is_complete:
                     problems.append(f"m={m} i={i}: fold is not complete")
-                shape = verify_antipodal_cover_array(graphs[i, False])
+                shape = verify_antipodal_cover_array(chain[i], tables[i, False])
                 if not (shape.applicable and shape.matches):
                     problems.append(f"m={m} i={i}: cover array {shape.array}")
         for i in range(1, u + 1):
             for j in range(i):
-                cover = verify_cover(graphs[i, False], graphs[j, False],
-                                     chain[i], chain[j])
+                cover = verify_cover(graphs[i], graphs[j], chain[i], chain[j])
                 if not (cover.verdict and cover.fibre_size == 1 << (i - j)):
                     problems.append(f"m={m} {i}->{j}: fibre {cover.fibre_size}")
     elapsed = time.perf_counter() - t0

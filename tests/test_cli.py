@@ -62,6 +62,15 @@ def test_verify_exhaustive_flag(capsys):
     assert rows and "exhaustive" in rows[0]["computed"]
 
 
+def test_verify_exhaustive_default_ms(capsys):
+    # the default m list holds 4, so the flag reaches the m = 4 cr row
+    code, report = run_json(capsys, ["verify", "--suite", "cr", "--exhaustive"])
+    assert code == 0
+    labels = [(r["m"], r["computed"]) for r in report["results"]
+              if r["claim"] == "membership-syndrome"]
+    assert labels == [(4, "exhaustive 2^15"), (6, "100000 random vectors")]
+
+
 def test_verify_extended_filter(capsys):
     code, report = run_json(
         capsys, ["verify", "--m", "4", "--suite", "up", "--extended"]
@@ -122,6 +131,9 @@ def test_verify_failure_carries_witness(capsys, monkeypatch):
         ["conjecture", "--m", "4", "--prim-poly-m", "0x5"],
         ["conjecture", "--m", "4", "--out", "/nonexistent/x"],
         ["conjecture", "--m", "4", "--extended"],
+        ["verify", "--m", "6", "--exhaustive"],
+        ["verify", "--m", "8", "--suite", "duals", "--exhaustive"],
+        ["verify", "--m", "4", "--suite", "cr", "--exhaustive", "--extended"],
     ],
 )
 def test_config_errors_exit_3(capsys, argv):

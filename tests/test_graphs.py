@@ -1,27 +1,30 @@
-"""Coset graph construction, metric checks, folding, covers, export."""
+"""Coset graph construction, metric checks, folding, covers, export.
+
+The metric checks read the coset table: the coset graph of a code is
+distance-regular with the code's own intersection array, and the dense
+oracles below compute its distances from the adjacency instead.
+"""
 
 import numpy as np
 import pytest
 
 from crcodes.codes import extend_code
 from crcodes.graphs import (
-    FoldedGraph,
     build_coset_graph,
     check_antipodal,
-    check_distance_regular,
-    check_zero_append_subgraph,
-    distances_from,
     export_graph,
     fold,
     verify_cover,
     verify_antipodal_cover_array,
 )
 from crcodes.regularity import (
+    CosetTable,
     IntersectionArray,
     cria_array,
     extended_cria_array,
+    verify_completely_regular,
 )
-from oracles import coset_leaders, parse_graph6
+from oracles import coset_leaders, fold_by_edges, parse_graph6
 
 
 def dense_distances(graph):
@@ -29,8 +32,8 @@ def dense_distances(graph):
     at once; -1 marks unreachable pairs.  Reference for the Cayley checks."""
     v = graph.vertex_count
     adj = np.zeros((v, v), dtype=np.float32)
-    for x, row in enumerate(graph.neighbor_rows()):
-        adj[x, list(row)] = 1.0
+    for x, row in enumerate(graph.adjacency):
+        adj[x, row] = 1.0
     dist = np.full((v, v), -1, dtype=np.int16)
     np.fill_diagonal(dist, 0)
     frontier = np.eye(v, dtype=bool)
@@ -69,12 +72,12 @@ def dense_fibres(dist):
 
 
 def cayley(width, units):
-    """Coset-style graph on F_2^width with the given connection set."""
+    """Stand-in code whose coset graph is Cay(F_2^width, units)."""
     class Units:
         syndrome_width = width
         unit_syndromes = tuple(units)
 
-    return build_coset_graph(Units())
+    return Units()
 
 
 @pytest.fixture(scope="module")
@@ -113,173 +116,170 @@ def test_vertex_cap():
         build_coset_graph(Shim())
 
 
-def test_hamming_graph_is_complete(graphs4, dists4):
-    rep = check_distance_regular(graphs4[0])
-    assert rep.distance_regular and rep.diameter == 1
+def test_hamming_graph_is_complete(chain4, tables4, dists4):
+    rep = verify_completely_regular(chain4[0], tables4[0])
+    assert rep.completely_regular and tables4[0].rho == 1
     assert rep.array == cria_array(4, 0)
     assert (dists4[0][~np.eye(16, dtype=bool)] == 1).all()
 
 
-def test_distance_regular_m4(graphs4):
+def test_distance_regular_m4(chain4, tables4):
     for i in (1, 2):
-        rep = check_distance_regular(graphs4[i])
-        assert rep.connected and rep.distance_regular
-        assert rep.diameter == 3
+        rep = verify_completely_regular(chain4[i], tables4[i])
+        assert rep.completely_regular
+        assert tables4[i].rho == 3
         assert rep.array == cria_array(4, i)
 
 
-def test_distance_regular_m6(graphs6):
-    for i, g in enumerate(graphs6):
-        rep = check_distance_regular(g)
-        assert rep.connected and rep.distance_regular
-        assert rep.diameter == (1 if i == 0 else 3)
+def test_distance_regular_m6(chain6, tables6):
+    for i, (code, table) in enumerate(zip(chain6, tables6)):
+        rep = verify_completely_regular(code, table)
+        assert rep.completely_regular
+        assert table.rho == (1 if i == 0 else 3)
         assert rep.array == cria_array(6, i)
 
 
 def test_extended_graphs_m4(chain4):
     for i, code in enumerate(chain4):
         star = extend_code(code)
-        g = build_coset_graph(star)
-        rep = check_distance_regular(g)
-        assert rep.distance_regular
-        assert rep.diameter == (2 if i == 0 else 4)
+        table = CosetTable(star)
+        rep = verify_completely_regular(star, table)
+        assert rep.completely_regular
+        assert table.rho == (2 if i == 0 else 4)
         assert rep.array == extended_cria_array(4, i)
-        anti = check_antipodal(g)
+        anti = check_antipodal(table)
         if i == 0:
             assert not anti.applicable
         else:
             assert anti.antipodal and anti.fibre_size == 1 << i
-            assert not fold(g, anti.fibres).is_complete
+            assert not fold(star, anti.fibres).is_complete
 
 
 def test_extended_graph_m6_deepest(chain6):
     star = extend_code(chain6[3])
-    g = build_coset_graph(star)
-    rep = check_distance_regular(g)
-    assert rep.distance_regular and rep.diameter == 4
+    table = CosetTable(star)
+    rep = verify_completely_regular(star, table)
+    assert rep.completely_regular and table.rho == 4
     assert rep.array == extended_cria_array(6, 3)
-    anti = check_antipodal(g)
+    anti = check_antipodal(table)
     assert anti.antipodal and anti.fibre_size == 8
 
 
-def test_graph_distance_is_coset_weight(chain6, graphs6, tables6):
-    for table, g in zip(tables6, graphs6):
-        assert np.array_equal(distances_from(g), table.weights)
+def plain_and_extended(chain):
+    for code in chain:
+        for c in (code, extend_code(code)):
+            yield c, CosetTable(c), build_coset_graph(c)
 
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_dense_oracle_agrees(request, m):
-    for code in request.getfixturevalue(f"chain{m}"):
-        for g in (build_coset_graph(code), build_coset_graph(extend_code(code))):
-            dist, adj = dense_distances(g)
-            weights = distances_from(g)
-            v = np.arange(g.vertex_count)
-            assert (dist == weights[v[:, None] ^ v[None, :]]).all()
-            rep = check_distance_regular(g)
-            assert rep.diameter == dist.max()
-            assert rep.array == dense_array(dist, adj) is not None
-            anti = check_antipodal(g)
-            if anti.applicable:
-                assert anti.antipodal and set(anti.fibres) == dense_fibres(dist)
+    for code, table, g in plain_and_extended(request.getfixturevalue(f"chain{m}")):
+        dist, adj = dense_distances(g)
+        v = np.arange(g.vertex_count)
+        assert (dist == table.weights[v[:, None] ^ v[None, :]]).all()
+        assert table.rho == dist.max()
+        array = verify_completely_regular(code, table).array
+        assert array == dense_array(dist, adj) is not None
+        anti = check_antipodal(table)
+        if anti.applicable:
+            assert anti.antipodal and set(anti.fibres) == dense_fibres(dist)
 
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_networkx_intersection_arrays(request, m):
     nx = pytest.importorskip("networkx")
-    for code in request.getfixturevalue(f"chain{m}"):
-        for g in (build_coset_graph(code), build_coset_graph(extend_code(code))):
-            rows = parse_graph6(export_graph(g, "graph6"))
-            other = nx.Graph()
-            other.add_nodes_from(range(len(rows)))
-            other.add_edges_from((v, w) for v, row in enumerate(rows) for w in row)
-            b, c = nx.intersection_array(other)
-            assert check_distance_regular(g).array == IntersectionArray(tuple(b), tuple(c))
-
-
-def test_non_regular_graph_witnessed():
-    path = FoldedGraph(4, ((1,), (0, 2), (1, 3), (2,)), 1)
-    rep = check_distance_regular(path)
-    assert rep.connected and not rep.distance_regular
-    assert rep.witness is not None
-
-
-def test_disconnected_graph_witnessed():
-    two_edges = FoldedGraph(4, ((1,), (0,), (3,), (2,)), 1)
-    rep = check_distance_regular(two_edges)
-    assert not rep.connected and not rep.distance_regular
-    assert "unreachable_vertex" in rep.witness
-
-
-def test_cayley_disconnected_witnessed():
-    g = cayley(3, (1, 2))  # the units span only the vertices 0..3
-    rep = check_distance_regular(g)
-    assert not rep.connected and not rep.distance_regular
-    assert rep.witness == {"unreachable_vertex": 4}
-    assert (dense_distances(g)[0] < 0).any()
+    for code, table, g in plain_and_extended(request.getfixturevalue(f"chain{m}")):
+        rows = parse_graph6(export_graph(g, "graph6"))
+        other = nx.Graph()
+        other.add_nodes_from(range(len(rows)))
+        other.add_edges_from((v, w) for v, row in enumerate(rows) for w in row)
+        b, c = nx.intersection_array(other)
+        array = verify_completely_regular(code, table).array
+        assert array == IntersectionArray(tuple(b), tuple(c))
 
 
 def test_cayley_non_regular_witnessed():
-    g = cayley(3, (1, 2, 3, 4))
-    rep = check_distance_regular(g)
-    assert rep.connected and not rep.distance_regular
-    assert rep.witness == {"base": 0, "vertex": 4, "level": 1}
+    code = cayley(3, (1, 2, 3, 4))
+    table = CosetTable(code)
+    rep = verify_completely_regular(code, table)
+    assert not rep.completely_regular
+    assert rep.witness == {
+        "weight": 1, "coset_a": 1, "coset_b": 4, "counts_a": (1, 1), "counts_b": (1, 3),
+    }
     # vertices 1 and 4 lie on level 1 with 1 and 3 neighbours on level 2
-    weights = distances_from(g)
-    assert [int((weights[g.adjacency[v]] == 2).sum()) for v in (1, 4)] == [1, 3]
+    g = build_coset_graph(code)
+    assert [int((table.weights[g.adjacency[v]] == 2).sum()) for v in (1, 4)] == [1, 3]
     assert dense_array(*dense_distances(g)) is None
 
 
 def test_cayley_non_antipodal_witnessed():
     # the folded 7-cube is distance-regular of diameter 3, but its vertices at
     # distance 3 from 0 (weights 3 and 4 in F_2^6) and 0 are 36, no subgroup
-    g = cayley(6, (1, 2, 4, 8, 16, 32, 63))
-    rep = check_distance_regular(g)
-    assert rep.distance_regular
+    code = cayley(6, (1, 2, 4, 8, 16, 32, 63))
+    table = CosetTable(code)
+    rep = verify_completely_regular(code, table)
+    assert rep.completely_regular
     assert rep.array == IntersectionArray((7, 6, 5), (1, 2, 3))
-    anti = check_antipodal(g)
+    anti = check_antipodal(table)
     assert anti.applicable and not anti.antipodal
-    weights = distances_from(g)
+    assert anti.witness == {"u": 7, "w": 11, "d": 2}
+    weights = table.weights
     u, w, d = (anti.witness[k] for k in ("u", "w", "d"))
     assert weights[u] == weights[w] == 3 and weights[u ^ w] == d
-    assert d not in (0, 3)
-    assert dense_fibres(dense_distances(g)[0]) is None
-    assert not verify_antipodal_cover_array(g).applicable
+    assert dense_fibres(dense_distances(build_coset_graph(code))[0]) is None
+    assert not verify_antipodal_cover_array(code, table).applicable
 
 
-def test_antipodal_m4(graphs4, tables4):
+def test_antipodal_m4(tables4):
     for i in (1, 2):
-        anti = check_antipodal(graphs4[i])
+        anti = check_antipodal(tables4[i])
         assert anti.applicable and anti.antipodal
         assert anti.fibre_size == 1 << i
         covered = sorted(v for block in anti.fibres for v in block)
-        assert covered == list(range(graphs4[i].vertex_count))
+        assert covered == list(range(len(tables4[i])))
     # the zero fibre is the zero coset plus every deepest coset
-    anti2 = check_antipodal(graphs4[2])
+    anti2 = check_antipodal(tables4[2])
     zero_block = next(b for b in anti2.fibres if 0 in b)
     weights = sorted(int(tables4[2].weights[s]) for s in zero_block)
     assert weights == [0, 3, 3, 3]
-    assert not check_antipodal(graphs4[0]).applicable
+    assert not check_antipodal(tables4[0]).applicable
 
 
-def test_fold_to_complete(graphs4, graphs6):
-    for graphs, m in ((graphs4, 4), (graphs6, 6)):
-        for i in range(1, len(graphs)):
-            anti = check_antipodal(graphs[i])
-            folded = fold(graphs[i], anti.fibres)
+def test_fold_to_complete(chain4, chain6, tables4, tables6):
+    for chain, tables, m in ((chain4, tables4, 4), (chain6, tables6, 6)):
+        for i in range(1, len(chain)):
+            anti = check_antipodal(tables[i])
+            folded = fold(chain[i], anti.fibres)
             assert folded.vertex_count == 1 << m
+            assert folded.fibre_size == 1 << i
             assert folded.is_complete
 
 
-def test_fold_trivial_fibres(graphs4):
-    g = graphs4[0]
-    folded = fold(g, [(v,) for v in range(g.vertex_count)])
-    assert folded.vertex_count == g.vertex_count
+@pytest.mark.parametrize("m", [4, 6])
+def test_fold_agrees_with_edge_oracle(request, m):
+    # the extended graphs fold to graphs that are not complete
+    seen = set()
+    for code, table, g in plain_and_extended(request.getfixturevalue(f"chain{m}")):
+        anti = check_antipodal(table)
+        if anti.antipodal:
+            folded = fold(code, anti.fibres)
+            assert folded == fold_by_edges(g.adjacency, anti.fibres)
+            seen.add(folded.is_complete)
+    assert seen == {True, False}
+
+
+def test_fold_trivial_fibres(chain4):
+    folded = fold(chain4[0], [(v,) for v in range(16)])
+    assert (folded.vertex_count, folded.fibre_size) == (16, 1)
     assert folded.is_complete
 
 
-def test_fold_rejects_partial_fibres(graphs4):
+def test_fold_rejects_partial_fibres(chain4):
     with pytest.raises(ValueError):
-        fold(graphs4[0], [(0, 1)])
+        fold(chain4[0], [(0, 1)])
+    # a partition into pairs whose blocks are not the cosets of {0, 1}
+    with pytest.raises(ValueError, match="cosets"):
+        fold(chain4[0], [(0, 1), (2, 4), (3, 5)] + [(v, v + 1) for v in range(6, 16, 2)])
 
 
 def test_covers_m4(chain4, graphs4):
@@ -322,48 +322,24 @@ def test_cover_rejects_non_nested(chain4, graphs4):
         verify_cover(graphs4[1], graphs4[2], chain4[1], chain4[2])
 
 
-def test_antipodal_cover_array(graphs4, graphs6):
-    for graphs in (graphs4, graphs6):
-        for i in range(1, len(graphs)):
-            rep = verify_antipodal_cover_array(graphs[i])
+def test_antipodal_cover_array(chain4, chain6, tables4, tables6):
+    for chain, tables in ((chain4, tables4), (chain6, tables6)):
+        for i in range(1, len(chain)):
+            rep = verify_antipodal_cover_array(chain[i], tables[i])
             assert rep.applicable and rep.matches
             assert rep.fibre_size == 1 << i
-    k16 = verify_antipodal_cover_array(graphs4[0])
+    k16 = verify_antipodal_cover_array(chain4[0], tables4[0])
     assert not k16.applicable
 
 
 def test_cover_array_not_applicable_extended(chain4):
     star = extend_code(chain4[1])
-    g = build_coset_graph(star)
-    rep = verify_antipodal_cover_array(g)
+    rep = verify_antipodal_cover_array(star, CosetTable(star))
     assert not rep.applicable
 
 
-def test_zero_append_subgraph_m4(chain4):
-    rep01 = check_zero_append_subgraph(chain4[0], chain4[1])
-    assert rep01.injective
-    assert (rep01.edges_preserved, rep01.edges_total) == (72, 120)
-    assert rep01.extra_edges == 0
-    assert not rep01.induced_subgraph
-    rep12 = check_zero_append_subgraph(chain4[1], chain4[2])
-    assert (rep12.edges_preserved, rep12.edges_total) == (144, 240)
-    assert not rep12.induced_subgraph
-
-
-def test_zero_append_subgraph_m6_spot(chain6):
-    rep = check_zero_append_subgraph(chain6[0], chain6[1])
-    assert rep.injective and not rep.induced_subgraph
-    assert (rep.edges_preserved, rep.edges_total) == (1120, 2016)
-
-
 def test_graph6_k4():
-    class K4:
-        vertex_count = 4
-
-        def neighbor_rows(self):
-            return [tuple(j for j in range(4) if j != i) for i in range(4)]
-
-    assert export_graph(K4(), "graph6") == b"C~"
+    assert export_graph(build_coset_graph(cayley(2, (1, 2, 3))), "graph6") == b"C~"
 
 
 def test_graph6_roundtrip(graphs4):
@@ -384,9 +360,5 @@ def test_edge_list_and_json(graphs4):
 
     payload = json.loads(export_graph(g, "json"))
     assert payload == {"vertices": 64, "adjacency": g.adjacency.tolist()}
-    folded = fold(g, check_antipodal(g).fibres)
-    assert json.loads(export_graph(folded, "json")) == {
-        "vertices": folded.vertex_count, "adjacency": [list(r) for r in folded.adjacency],
-    }
     with pytest.raises(ValueError, match="format"):
         export_graph(g, "dot")

@@ -105,7 +105,7 @@ class Check:
 
 
 class Workspace:
-    """Caches per-m contexts, chains, coset tables and graphs, and holds the
+    """Caches per-m contexts, chains and coset tables, and holds the
     settings every suite reads."""
 
     def __init__(self, targets: Optional[Sequence[int]] = None,
@@ -141,9 +141,6 @@ class Workspace:
 
     def table(self, m, i, ext=False):
         return self._get(("table", m, i, ext), lambda: CosetTable(self.code(m, i, ext)))
-
-    def graph(self, m, i, ext=False):
-        return self._get(("graph", m, i, ext), lambda: build_coset_graph(self.code(m, i, ext)))
 
     def ct(self, m, i):
         return self._get(
@@ -272,10 +269,7 @@ def suite_cover(ws: Workspace, m: int) -> Iterator[Row]:
     for ext in (False, True):
         for i in range(1, u + 1):
             for j in range(i):
-                rep = verify_cover(
-                    ws.graph(m, i, ext), ws.graph(m, j, ext),
-                    ws.code(m, i, ext), ws.code(m, j, ext),
-                )
+                rep = verify_cover(ws.code(m, i, ext), ws.code(m, j, ext))
                 yield ("graph-cover", i, ext,
                        _verdict(rep.verdict and rep.fibre_size == 1 << (i - j)),
                        f"-> level {j}, fibre {1 << (i - j)}",

@@ -18,9 +18,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .field import FieldContext, PRIM_POLYS, build_field_context
 from .gf2 import bit_support, gf2_nullspace, gf2_rank, gf2_rref, gf2_span
@@ -216,6 +217,8 @@ def _support_xor(values: Sequence[int], packed: np.ndarray) -> np.ndarray:
     byte j is position 8j + k.  Byte j contributes entry [j, byte] of a
     256-entry table of XORs over that byte's eight positions.
     """
+    import numpy as np
+
     nbytes = packed.shape[1]
     per_bit = np.zeros(nbytes * 8, dtype=np.int64)
     per_bit[:len(values)] = values
@@ -231,6 +234,8 @@ def _support_xor(values: Sequence[int], packed: np.ndarray) -> np.ndarray:
 def check_membership(code: LinearCode, vectors: Iterable[int]) -> bool:
     """Is every vector a codeword exactly when its field sum and its weight
     sum (quad_sum) are both zero?  Vectors are ints of the code's length."""
+    import numpy as np
+
     if code.extended:
         raise ValueError("the membership check is about unextended codes")
     nbytes = -(-code.length // 8)

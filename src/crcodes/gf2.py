@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "bit_support",
@@ -83,6 +84,8 @@ def gf2_linear_map(
     The rows x | y << width reduce to e_k | L(e_k) << width exactly when L
     exists, and the table doubles by L(x ^ e_k) = L(x) ^ L(e_k).
     """
+    import numpy as np
+
     rows, pivots = gf2_rref((x | y << width for x, y in pairs), width + out_width)
     if pivots != list(range(width)):
         return None

@@ -5,8 +5,9 @@ U, so a coset graph is the Cayley graph Cay(F_2^r, U).  Its translations are
 automorphisms, so dist(x, y) = w(x ^ y) for the coset weight w, and the
 graph rows read the coset table: the graph is distance-regular with the
 code's own intersection array (``verify_completely_regular``), and
-antipodality, the fold and the cover array come from w and U alone.  Only
-covering maps and export read the adjacency.
+antipodality, the fold and the cover array come from w and U alone.
+Covering maps are a linear map of syndromes; only export reads the
+adjacency.
 """
 
 from __future__ import annotations
@@ -53,14 +54,19 @@ class FoldedGraph:
     is_complete: bool
 
 
+def _simple(units: Sequence[int]) -> bool:
+    """Does each unit syndrome give an edge of its own and no loop?"""
+    return 0 not in units and len(set(units)) == len(units)
+
+
 def build_coset_graph(code: LinearCode) -> CosetGraph:
     """Graph on all cosets, adjacent when syndromes differ by a unit."""
     size = 1 << code.syndrome_width
     if size > _VERTEX_CAP:
         raise ValueError("coset graph capped at 2^14 vertices")
-    units = np.array(code.unit_syndromes, dtype=np.int64)
-    if len(set(code.unit_syndromes)) != len(code.unit_syndromes) or (units == 0).any():
+    if not _simple(code.unit_syndromes):
         raise ValueError("unit syndromes must be nonzero and distinct")
+    units = np.array(code.unit_syndromes, dtype=np.int64)
     verts = np.arange(size, dtype=np.int64)
     adj = np.sort(verts[:, None] ^ units[None, :], axis=1)
     return CosetGraph(size, len(code.unit_syndromes), adj)
@@ -138,31 +144,30 @@ class CoverReport:
         return self.constant_fibres and self.locally_bijective
 
 
-def verify_cover(
-    fine_graph: CosetGraph,
-    coarse_graph: CosetGraph,
-    fine_code: LinearCode,
-    coarse_code: LinearCode,
-) -> CoverReport:
+def verify_cover(fine_code: LinearCode, coarse_code: LinearCode) -> CoverReport:
     """Project fine cosets onto the coarse code's cosets and verify the
     projection is a covering map: constant fibres and a bijection between
-    each vertex's edges and its image's edges."""
-    # fine lies in coarse exactly when the fine syndrome fixes the coarse one
-    # through a linear map, sending each fine unit syndrome to the coarse one
+    each vertex's edges and its image's edges.
+
+    Fine lies in coarse exactly when a linear map P of syndromes sends each
+    fine unit syndrome to the coarse one, and P is the projection.  It takes
+    x ~ x ^ U_f[p] to P(x) ~ P(x) ^ U_c[p], so every vertex's edges map one
+    to one onto its image's exactly when the coarse unit syndromes are
+    nonzero and distinct; otherwise every vertex fails alike, witness 0.
+    """
+    if not _simple(fine_code.unit_syndromes):
+        raise ValueError("unit syndromes must be nonzero and distinct")
     proj = gf2_linear_map(
         zip(fine_code.unit_syndromes, coarse_code.unit_syndromes),
         fine_code.syndrome_width, coarse_code.syndrome_width,
     )
     if proj is None:
         raise ValueError("fine code is not contained in the coarse code")
-    expected = fine_graph.vertex_count // coarse_graph.vertex_count
-    counts = np.bincount(proj, minlength=coarse_graph.vertex_count)
-    constant = bool((counts == expected).all())
-    images = np.sort(proj[fine_graph.adjacency], axis=1)
-    targets = coarse_graph.adjacency[proj]
-    ok_rows = (images == targets).all(axis=1)
-    witness = None if ok_rows.all() else int(np.flatnonzero(~ok_rows)[0])
-    return CoverReport(expected, constant, witness is None, tuple(proj.tolist()), witness)
+    expected = len(proj) >> coarse_code.syndrome_width
+    counts = np.bincount(proj, minlength=1 << coarse_code.syndrome_width)
+    bijective = _simple(coarse_code.unit_syndromes)
+    return CoverReport(expected, bool((counts == expected).all()), bijective,
+                       tuple(proj.tolist()), None if bijective else 0)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Nothing in the package calls these: designs are checked there from a
 histogram of pair syndromes, graph6 is only ever written, cosets are known
 by their weights alone and moved by a linear map of syndromes rather than by
 their leaders, complete regularity is counted over the whole weight
-array at once, and a coset graph is folded as the Cayley graph of a
-quotient group rather than by the edges that cross its fibres.
+array at once, a coset graph is folded as the Cayley graph of a quotient
+group rather than by the edges that cross its fibres, and a covering map is
+a linear map of syndromes, checked on the unit syndromes rather than edge by
+edge.
 """
 
 from collections import deque
@@ -15,7 +17,7 @@ from math import comb
 import numpy as np
 
 from crcodes.gf2 import bit_support
-from crcodes.graphs import FoldedGraph
+from crcodes.graphs import CoverReport, FoldedGraph, build_coset_graph
 from crcodes.regularity import DesignReport, IntersectionArray, RegularityReport
 from crcodes.transitivity import OrbitPartition
 
@@ -215,3 +217,19 @@ def fold_by_edges(adjacency, fibres):
     src, dst = np.divmod(pairs, blocks)
     degree = np.bincount(src[src != dst], minlength=blocks)
     return FoldedGraph(blocks, len(fibres[0]), bool((degree == blocks - 1).all()))
+
+
+def cover_by_edges(fine_code, coarse_code):
+    """Covering-map check on the two adjacencies: each fine coset goes to
+    the coarse syndrome of its leader, and each vertex's sorted neighbour
+    images must be its image's neighbours; the witness is the first vertex
+    where they are not."""
+    fine, coarse = build_coset_graph(fine_code), build_coset_graph(coarse_code)
+    proj = np.array([coarse_code.syndrome(v) for v in coset_leaders(fine_code)])
+    expected = fine.vertex_count // coarse.vertex_count
+    counts = np.bincount(proj, minlength=coarse.vertex_count)
+    images = np.sort(proj[fine.adjacency], axis=1)
+    ok_rows = (images == coarse.adjacency[proj]).all(axis=1)
+    witness = None if ok_rows.all() else int(np.flatnonzero(~ok_rows)[0])
+    return CoverReport(expected, bool((counts == expected).all()), witness is None,
+                       tuple(proj.tolist()), witness)

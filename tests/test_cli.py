@@ -278,6 +278,20 @@ def test_console_entry_point():
     assert "error:" in proc.stderr
 
 
+def test_import_loads_no_numpy():
+    # the package and a chain build load no numpy; the other layers load it
+    # on first use of one of their names
+    script = (
+        "import sys, crcodes\n"
+        "crcodes.build_chain(crcodes.build_field_context(8))\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        "missing = [n for n in crcodes.__all__ if getattr(crcodes, n, None) is None]\n"
+        "assert not missing, missing\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_m8_graph_suites(capsys):
     t0 = time.perf_counter()
     code, report = run_json(capsys, ["verify", "--m", "8", "--suite", "graph,cover"])
@@ -287,6 +301,19 @@ def test_verify_m8_graph_suites(capsys):
         "checks": 46, "passed": 46, "failed": 0, "undetermined": 0, "verdict": "pass",
     }
     assert elapsed < 60.0, f"m=8 graph and cover suites took {elapsed:.1f}s"
+
+
+def test_verify_builds_no_graph(capsys, monkeypatch):
+    def refuse(code):
+        raise AssertionError("verify built a coset graph")
+
+    monkeypatch.setattr("crcodes.graphs.build_coset_graph", refuse)
+    monkeypatch.setattr("crcodes.cli.build_coset_graph", refuse)
+    code, report = run_json(capsys, ["verify", "--m", "6", "--suite", "graph,cover"])
+    assert code == 0
+    assert report["summary"] == {
+        "checks": 32, "passed": 32, "failed": 0, "undetermined": 0, "verdict": "pass",
+    }
 
 
 def test_verify_m8_designs_and_membership(capsys):

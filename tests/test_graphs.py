@@ -24,7 +24,7 @@ from crcodes.regularity import (
     extended_cria_array,
     verify_completely_regular,
 )
-from oracles import coset_leaders, fold_by_edges, parse_graph6
+from oracles import coset_leaders, cover_by_edges, fold_by_edges, parse_graph6
 
 
 def dense_distances(graph):
@@ -88,11 +88,6 @@ def graphs4(chain4):
 @pytest.fixture(scope="module")
 def dists4(graphs4):
     return [dense_distances(g)[0] for g in graphs4]
-
-
-@pytest.fixture(scope="module")
-def graphs6(chain6):
-    return [build_coset_graph(c) for c in chain6]
 
 
 def test_build_basics(chain4, chain6, graphs4):
@@ -282,11 +277,11 @@ def test_fold_rejects_partial_fibres(chain4):
         fold(chain4[0], [(0, 1), (2, 4), (3, 5)] + [(v, v + 1) for v in range(6, 16, 2)])
 
 
-def test_covers_m4(chain4, graphs4):
+def test_covers_m4(chain4):
     for i in range(1, 3):
         leaders = coset_leaders(chain4[i])
         for j in range(i):
-            rep = verify_cover(graphs4[i], graphs4[j], chain4[i], chain4[j])
+            rep = verify_cover(chain4[i], chain4[j])
             assert rep.verdict
             assert rep.fibre_size == 1 << (i - j)
             # the linear projection agrees with the coarse syndrome of each
@@ -294,16 +289,16 @@ def test_covers_m4(chain4, graphs4):
             assert rep.projection == tuple(chain4[j].syndrome(v) for v in leaders)
 
 
-def test_covers_m6_and_composition(chain6, graphs6):
+def test_covers_m6_and_composition(chain6):
     projs = {}
     for i in range(1, 4):
         leaders = coset_leaders(chain6[i])
         for j in range(i):
-            rep = verify_cover(graphs6[i], graphs6[j], chain6[i], chain6[j])
+            rep = verify_cover(chain6[i], chain6[j])
             assert rep.verdict and rep.fibre_size == 1 << (i - j)
             assert rep.projection == tuple(chain6[j].syndrome(v) for v in leaders)
             projs[i, j] = rep.projection
-    for s in range(graphs6[3].vertex_count):
+    for s in range(1 << chain6[3].syndrome_width):
         assert projs[3, 1][s] == projs[2, 1][projs[3, 2][s]]
         assert projs[3, 0][s] == projs[1, 0][projs[3, 1][s]]
 
@@ -311,15 +306,49 @@ def test_covers_m6_and_composition(chain6, graphs6):
 def test_extended_cover_m6(chain6):
     fine = extend_code(chain6[3])
     coarse = extend_code(chain6[1])
-    rep = verify_cover(
-        build_coset_graph(fine), build_coset_graph(coarse), fine, coarse
-    )
+    rep = verify_cover(fine, coarse)
     assert rep.verdict and rep.fibre_size == 4
 
 
-def test_cover_rejects_non_nested(chain4, graphs4):
+def test_cover_rejects_non_nested(chain4):
     with pytest.raises(ValueError, match="contained"):
-        verify_cover(graphs4[1], graphs4[2], chain4[1], chain4[2])
+        verify_cover(chain4[1], chain4[2])
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_cover_agrees_with_edge_oracle(request, m):
+    chain = request.getfixturevalue(f"chain{m}")
+    for ext in (False, True):
+        codes = [extend_code(c) if ext else c for c in chain]
+        for i in range(1, len(codes)):
+            for j in range(i):
+                rep = verify_cover(codes[i], codes[j])
+                assert rep == cover_by_edges(codes[i], codes[j])
+                assert rep.verdict and rep.fibre_size == 1 << (i - j)
+
+
+@pytest.mark.parametrize("units", [(1, 2, 1, 2), (1, 2, 3, 0)], ids=["repeated", "zero"])
+def test_cover_not_bijective_on_bad_coarse_units(units):
+    # Cay(F_2^3, {1, 2, 4, 7}) maps onto a coarse "graph" whose units repeat
+    # or include 0: an edge doubles up or becomes a loop at every vertex
+    rep = verify_cover(cayley(3, (1, 2, 4, 7)), cayley(2, units))
+    assert (rep.fibre_size, rep.constant_fibres) == (2, True)
+    assert not rep.locally_bijective and not rep.verdict
+    assert rep.witness == 0
+
+
+def test_cover_fibres_not_constant_when_coarse_units_miss_syndromes():
+    # the coarse units span only {0, 1, 2, 3} of F_2^3, so the syndromes
+    # 4..7 have empty fibres while 0..3 have two vertices each
+    rep = verify_cover(cayley(3, (1, 2, 4, 7)), cayley(3, (1, 2, 1, 2)))
+    assert rep.fibre_size == 1 and not rep.constant_fibres and not rep.verdict
+    assert rep.projection == (0, 1, 2, 3, 1, 0, 3, 2)
+
+
+@pytest.mark.parametrize("units", [(1, 2, 3, 3), (1, 2, 3, 0)], ids=["repeated", "zero"])
+def test_cover_rejects_bad_fine_units(units):
+    with pytest.raises(ValueError, match="nonzero and distinct"):
+        verify_cover(cayley(2, units), cayley(2, (1, 2, 3, 3)))
 
 
 def test_antipodal_cover_array(chain4, chain6, tables4, tables6):

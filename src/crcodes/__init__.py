@@ -16,8 +16,6 @@ _LAZY = {
         "build_base_code",
         "build_chain",
         "check_membership",
-        "count_codes_at_level",
-        "count_full_chains",
         "dual_spectrum",
         "extend_code",
         "load_code",

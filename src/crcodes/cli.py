@@ -1,9 +1,9 @@
 """Command line front end: build chains, verify claims, export graphs.
 
 Exit codes: 0 no selected check failed, 2 at least one check failed,
-3 configuration error (any ValueError), 4 internal error: any other
-exception, reported as one ``internal error:`` line on stderr with no
-traceback.  A one-sided check that can only confirm a claim
+3 configuration error (bad flags, polynomials or subspace bases), 4
+internal error: any other exception, reported as one ``internal error:``
+line on stderr with no traceback.  A one-sided check that can only confirm a claim
 reads ``undetermined`` when it does not, and fails nothing.  Reports are
 deterministic for a fixed config; the JSON report schema is described in
 the README.
@@ -105,7 +105,7 @@ class Check:
 
 
 class Workspace:
-    """Caches per-m contexts, chains and coset tables, and holds the
+    """Caches per-m chains and coset tables, and holds the
     settings every suite reads."""
 
     def __init__(self, targets: Optional[Sequence[int]] = None,
@@ -123,16 +123,9 @@ class Workspace:
             self._cache[key] = builder()
         return self._cache[key]
 
-    def has_distributions(self, m) -> bool:
-        """Coset weight distributions are checked only up to m = 6: the
-        dual-side transform costs O(4^r) per code."""
-        return m <= 6
-
-    def ctx(self, m):
-        return self._get(("ctx", m), lambda: build_field_context(m, self.poly_m, self.poly_u))
-
     def chain(self, m):
-        return self._get(("chain", m), lambda: build_chain(self.ctx(m), self.targets))
+        return self._get(("chain", m),
+                         lambda: _build_chain(m, self.targets, self.poly_m, self.poly_u))
 
     def code(self, m, i, ext=False):
         if ext:
@@ -154,10 +147,9 @@ def _verdict(ok) -> str:
 
 def _distribution_rows(ws: Workspace, m: int, i: int, ext: bool) -> Iterator[Row]:
     """Are coset weight distributions constant on each weight class?"""
-    if ws.has_distributions(m):
-        uniform = distributions_uniform(ws.code(m, i, ext), ws.table(m, i, ext))
-        yield ("coset-distributions-uniform", i, ext, _verdict(uniform),
-               "one distribution per coset weight", f"uniform={uniform}", None)
+    uniform = distributions_uniform(ws.code(m, i, ext), ws.table(m, i, ext))
+    yield ("coset-distributions-uniform", i, ext, _verdict(uniform),
+           "one distribution per coset weight", f"uniform={uniform}", None)
 
 
 def suite_cr(ws: Workspace, m: int) -> Iterator[Row]:
@@ -188,7 +180,7 @@ def suite_cr(ws: Workspace, m: int) -> Iterator[Row]:
 
 
 def suite_up(ws: Workspace, m: int) -> Iterator[Row]:
-    for i in range(ws.ctx(m).u + 1):
+    for i in range(m // 2 + 1):
         for ext in (False, True):
             rep = verify_uniformly_packed(ws.code(m, i, ext), ws.table(m, i, ext))
             yield ("uniformly-packed", i, ext, _verdict(rep.uniformly_packed),
@@ -226,7 +218,7 @@ def suite_designs(ws: Workspace, m: int) -> Iterator[Row]:
 def suite_ct(ws: Workspace, m: int) -> Iterator[Row]:
     # the orbits are counted under a subgroup of Aut(C), so reaching rho+1
     # certifies complete transitivity and any larger count decides nothing
-    for i in range(ws.ctx(m).u + 1):
+    for i in range(m // 2 + 1):
         rep = ws.ct(m, i)
         yield ("complete-transitivity", i, False,
                PASS if rep.certified else UNDETERMINED,
@@ -240,7 +232,7 @@ def suite_ct(ws: Workspace, m: int) -> Iterator[Row]:
 
 def suite_graph(ws: Workspace, m: int) -> Iterator[Row]:
     # a coset graph is distance-regular with its code's intersection array
-    for i in range(ws.ctx(m).u + 1):
+    for i in range(m // 2 + 1):
         for ext in (False, True):
             code, table = ws.code(m, i, ext), ws.table(m, i, ext)
             rep = verify_completely_regular(code, table)
@@ -265,7 +257,7 @@ def suite_graph(ws: Workspace, m: int) -> Iterator[Row]:
 
 
 def suite_cover(ws: Workspace, m: int) -> Iterator[Row]:
-    u = ws.ctx(m).u
+    u = m // 2
     for ext in (False, True):
         for i in range(1, u + 1):
             for j in range(i):
@@ -283,7 +275,7 @@ def suite_cover(ws: Workspace, m: int) -> Iterator[Row]:
 
 
 def suite_extended(ws: Workspace, m: int) -> Iterator[Row]:
-    for i in range(ws.ctx(m).u + 1):
+    for i in range(m // 2 + 1):
         star = ws.code(m, i, ext=True)
         table = ws.table(m, i, ext=True)
         if i == 0:
@@ -313,6 +305,16 @@ _SUITE_FN = {
     "cover": suite_cover,
     "extended": suite_extended,
 }
+
+
+def _build_chain(m: int, targets: Optional[Sequence[int]],
+                 poly_m: Optional[int], poly_u: Optional[int]):
+    """The chain the flags ask for; a bad polynomial or subspace basis is an
+    error in the input, not in the program."""
+    try:
+        return build_chain(build_field_context(m, poly_m, poly_u), targets)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_targets(raw: Optional[str]) -> Optional[List[int]]:
@@ -408,9 +410,9 @@ def cmd_verify(args) -> int:
 
 def cmd_build(args) -> int:
     _validate_m(args.m, 12)
-    ctx = build_field_context(args.m, args.prim_poly_m, args.prim_poly_u)
-    chain = build_chain(ctx, _parse_targets(args.subspace_basis))
-    picked = _pick_levels(args.levels, ctx.u)
+    chain = _build_chain(args.m, _parse_targets(args.subspace_basis),
+                         args.prim_poly_m, args.prim_poly_u)
+    picked = _pick_levels(args.levels, args.m // 2)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -443,9 +445,9 @@ _EXPORT_EXT = {"graph6": "g6", "edge-list": "edges", "json": "json"}
 
 def cmd_export(args) -> int:
     _validate_m(args.m, 8)
-    ctx = build_field_context(args.m, args.prim_poly_m, args.prim_poly_u)
-    chain = build_chain(ctx, _parse_targets(args.subspace_basis))
-    picked = _pick_levels(args.levels, ctx.u)
+    chain = _build_chain(args.m, _parse_targets(args.subspace_basis),
+                         args.prim_poly_m, args.prim_poly_u)
+    picked = _pick_levels(args.levels, args.m // 2)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -464,13 +466,9 @@ def cmd_export(args) -> int:
 
 def cmd_conjecture(args) -> int:
     _validate_m(args.m, 8)
-    reports = conjecture_report(
-        args.m,
-        levels=_pick_levels(args.levels, args.m // 2),
-        syndrome_targets=_parse_targets(args.subspace_basis),
-        poly_m=args.prim_poly_m,
-        poly_u=args.prim_poly_u,
-    )
+    chain = _build_chain(args.m, _parse_targets(args.subspace_basis),
+                         args.prim_poly_m, args.prim_poly_u)
+    reports = conjecture_report(chain, _pick_levels(args.levels, args.m // 2))
     rows = []
     for rep in reports:
         verdict = "certified" if rep.certified else "undetermined"
@@ -565,7 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "conjecture": cmd_conjecture,
         }[args.command]
         return handler(args)
-    except ValueError as exc:  # ConfigError included
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a fault of the program, not of its input

@@ -24,24 +24,20 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .field import FieldContext, PRIM_POLYS, build_field_context
-from .gf2 import bit_support, gf2_nullspace, gf2_rank, gf2_rref, gf2_span
+from .gf2 import bit_support, gf2_nullspace, gf2_rank, gf2_rref, gf2_span, gf2_wht
 
 __all__ = [
     "ParityCheckMatrix",
     "LinearCode",
     "DualSpectrum",
-    "CyclicReport",
     "build_hamming_parity",
     "build_power_parity",
     "build_base_code",
     "build_chain",
     "check_membership",
-    "count_codes_at_level",
-    "count_full_chains",
     "extend_code",
-    "dual_enumerate",
+    "dual_weights",
     "dual_spectrum",
-    "verify_cyclic",
     "save_code",
     "load_code",
 ]
@@ -310,27 +306,6 @@ def build_chain(
     return chain
 
 
-def count_codes_at_level(u: int, i: int) -> int:
-    """Number of distinct level-i codes: the Gaussian binomial [u, u-i]_2."""
-    if not 0 <= i <= u:
-        raise ValueError(f"level {i} outside 0..{u}")
-    k = u - i
-    num = den = 1
-    for t in range(k):
-        num *= (1 << (u - t)) - 1
-        den *= (1 << (k - t)) - 1
-    assert num % den == 0
-    return num // den
-
-
-def count_full_chains(u: int) -> int:
-    """Number of maximal nested chains: prod over 0 <= i < u of (2^(u-i) - 1)."""
-    out = 1
-    for i in range(u):
-        out *= (1 << (u - i)) - 1
-    return out
-
-
 def extend_code(code: LinearCode) -> LinearCode:
     """Append the parity coordinate at index 0 (labeled by the element 0)."""
     if code.extended:
@@ -355,41 +330,21 @@ class DualSpectrum:
         return len(self.counts)
 
 
-def dual_enumerate(code: LinearCode) -> List[int]:
-    """All 2^(syndrome width) words of the dual, Gray-code order."""
-    if code.syndrome_width > 24:
-        raise ValueError("dual enumeration capped at 2^24 words")
-    return list(gf2_span(list(code.parity_rows)))
+def dual_weights(code: LinearCode) -> np.ndarray:
+    """Weight of every dual word, indexed by the mask t of the parity rows
+    it sums.  Dual word t holds position p when t . U[p] is odd, so with
+    h = WHT(1_U) over the unit syndromes U its weight is (n - h(t)) / 2."""
+    import numpy as np
+
+    units = np.bincount(code.unit_syndromes, minlength=1 << code.syndrome_width)
+    return (code.length - gf2_wht(units)) // 2
 
 
 def dual_spectrum(code: LinearCode) -> DualSpectrum:
-    counts: Dict[int, int] = {}
-    for word in dual_enumerate(code):
-        if word:
-            w = word.bit_count()
-            counts[w] = counts.get(w, 0) + 1
-    return DualSpectrum(counts)
+    import numpy as np
 
-
-@dataclass(frozen=True)
-class CyclicReport:
-    cyclic: bool
-    claimed: bool
-
-
-def verify_cyclic(code: LinearCode) -> CyclicReport:
-    """Closure of the dual under the coordinate rotation p -> p+1 mod n.
-
-    Only the level-u and level-0 codes are claimed cyclic; for other levels
-    the result is reported without any claim attached.
-    """
-    if code.extended:
-        raise ValueError("cyclicity is about the unextended coordinate ring")
-    n = code.length
-    mask = (1 << n) - 1
-    words = set(dual_enumerate(code))
-    cyclic = all(((w << 1) | (w >> (n - 1))) & mask in words for w in words)
-    return CyclicReport(cyclic=cyclic, claimed=code.level in (0, code.ctx.u))
+    counts = np.bincount(dual_weights(code)[1:]).tolist()
+    return DualSpectrum({w: c for w, c in enumerate(counts) if c})
 
 
 def save_code(code: LinearCode, path_prefix: str) -> Tuple[str, str]:

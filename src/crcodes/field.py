@@ -10,8 +10,7 @@ field; ``FieldContext`` ties together GF(2^m) and GF(2^u) for even m:
 * every gamma in GF(2^m) decomposes uniquely as gamma = g1 + g2*alpha with
   g1, g2 in GF(2^u); ``quad_decompose``/``quad_compose`` convert between the
   m-bit value and the pair (g1, g2) of u-bit subfield values.
-* ``quad_det(a, b)`` is the 2x2 determinant of the decompositions of a and b,
-  and ``quad_sum(v)`` adds g1*g2 over the support of a bit vector v whose
+* ``quad_sum(v)`` adds g1*g2 over the support of a bit vector v whose
   position p carries the label alpha^p.
 
 Default polynomials (one primitive polynomial per degree, overridable):
@@ -233,13 +232,6 @@ class FieldContext:
             return self._pos_of_pair[QuadPair(*pair)]
         except KeyError:
             raise ValueError(f"pair {pair} does not label a position") from None
-
-    def pair_det(self, a: QuadPair, b: QuadPair) -> int:
-        mul = self.gu.mul
-        return mul(a.g1, b.g2) ^ mul(b.g1, a.g2)
-
-    def quad_det(self, a: int, b: int) -> int:
-        return self.pair_det(self.quad_decompose(a), self.quad_decompose(b))
 
     def quad_sum(self, v: int) -> int:
         """Sum of g1*g2 over the support of v; position p is labeled alpha^p."""

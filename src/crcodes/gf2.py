@@ -14,6 +14,7 @@ __all__ = [
     "gf2_nullspace",
     "gf2_span",
     "gf2_linear_map",
+    "gf2_wht",
 ]
 
 
@@ -93,3 +94,17 @@ def gf2_linear_map(
     for k, row in enumerate(rows):
         table[1 << k:2 << k] = table[:1 << k] ^ (row >> width)
     return table
+
+
+def gf2_wht(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform in place: values[t] becomes the sum over s
+    of (-1)^(s . t) values[s].  values is a contiguous int64 array whose
+    length is a power of two."""
+    h = 1
+    while h < len(values):
+        pairs = values.reshape(-1, 2, h)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
+        h *= 2
+    return values

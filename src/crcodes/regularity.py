@@ -4,9 +4,9 @@ Every coset of a chain code is identified with its packed syndrome, so the
 coset space is the dense range [0, 2^(n-k)).  A coset table is the array of
 coset weights, from a BFS over syndromes (neighbors differ by a unit-vector
 syndrome); complete regularity, the coset count identity and uniform packing
-read nothing else.  Whether coset weight distributions are constant on each
-weight class is checked through the dual-side transform with exact integer
-Krawtchouk coefficients.
+read nothing else.  Coset weight distributions are constant on each weight
+class exactly when, for every dual weight j, the Walsh-Hadamard transform N_j
+of the indicator of the weight-j dual words is.
 Complete regularity is read off the weight array: the coset s ^ U[p] is
 s's neighbour through position p, so one vectorised pass per unit syndrome
 gives every coset's counts c_l (down) and b_l (up) at once.
@@ -19,11 +19,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .codes import LinearCode, dual_spectrum
+from .codes import LinearCode, dual_spectrum, dual_weights
+from .gf2 import gf2_wht
 
 __all__ = [
     "CosetTable",
@@ -81,66 +82,21 @@ class CosetTable:
         return len(self.weights)
 
 
-def _dual_weight_table(code: LinearCode) -> List[int]:
-    # weight of every dual word, indexed by the parity-row combination mask
-    rows = code.parity_rows
-    table = [0] * (1 << len(rows))
-    word = 0
-    for t in range(1, len(table)):
-        word ^= rows[(t & -t).bit_length() - 1]
-        # the incremental walk visits combination masks in Gray order
-        table[t ^ (t >> 1)] = word.bit_count()
-    return table
-
-
-def _krawtchouk_matrix(n: int) -> List[List[int]]:
-    k = [[0] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        for w in range(n + 1):
-            k[j][w] = sum(
-                (-1) ** l * comb(j, l) * comb(n - j, w - l)
-                for l in range(max(0, w - (n - j)), min(j, w) + 1)
-            )
-    return k
-
-
-def _distribution_from_syndrome(
-    syndrome: int,
-    dual_wt: Sequence[int],
-    kraw: Sequence[Sequence[int]],
-    n: int,
-) -> Tuple[int, ...]:
-    counts: Dict[int, int] = {}
-    for t, j in enumerate(dual_wt):
-        if (syndrome & t).bit_count() & 1:
-            counts[j] = counts.get(j, 0) - 1
-        else:
-            counts[j] = counts.get(j, 0) + 1
-    size = len(dual_wt)
-    dist = []
-    for w in range(n + 1):
-        acc = sum(nj * kraw[j][w] for j, nj in counts.items() if nj)
-        q, rem = divmod(acc, size)
-        if rem:
-            raise RuntimeError("dual transform gave a non-integer count")
-        dist.append(q)
-    return tuple(dist)
-
-
-def _coset_distributions(code: LinearCode) -> Iterator[Tuple[int, ...]]:
-    """Weight distribution of every coset in syndrome order, each from the
-    dual-side transform: O(4^r) in all."""
-    dual_wt = _dual_weight_table(code)
-    kraw = _krawtchouk_matrix(code.length)
-    for s in range(len(dual_wt)):
-        yield _distribution_from_syndrome(s, dual_wt, kraw, code.length)
-
-
 def distributions_uniform(code: LinearCode, table: CosetTable) -> bool:
-    """Do all cosets of one weight have the same weight distribution?"""
-    per_weight: Dict[int, Tuple[int, ...]] = {}
-    for w, dist in zip(table.weights.tolist(), _coset_distributions(code)):
-        if per_weight.setdefault(w, dist) != dist:
+    """Do all cosets of one weight have the same weight distribution?
+
+    By MacWilliams' identity the distribution of coset s is a fixed,
+    invertible Krawtchouk image of (N_j(s))_j, where N_j = WHT(1_{D_j}) and
+    D_j is the set of dual words of weight j.  So the distributions are
+    uniform exactly when every N_j is constant on each weight class.
+    """
+    dual = dual_weights(code)
+    weight = table.weights
+    # weights take every value 0..rho, so first[l] is a coset of weight l
+    first = np.unique(weight, return_index=True)[1]
+    for j in np.flatnonzero(np.bincount(dual)):
+        n_j = gf2_wht((dual == j).astype(np.int64))
+        if (n_j != n_j[first][weight]).any():
             return False
     return True
 

@@ -20,7 +20,6 @@ found by min-label propagation and numbered by their smallest syndrome.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -35,18 +34,14 @@ __all__ = [
     "Mat2",
     "OrbitPartition",
     "CTReport",
-    "mat_identity",
-    "mat_mul",
     "mat_det",
     "sl2_generators",
     "gl2_generators",
-    "matrix_group_order",
     "matrix_to_permutation",
     "frobenius_permutation",
     "compose_permutations",
     "coset_action",
     "orbits_on_cosets",
-    "orbit_weight2_structure",
     "translation_permutation",
     "lift_permutation",
     "extended_orbits",
@@ -67,25 +62,9 @@ class Mat2:
     b: int
     b1: int
 
-    def entries(self) -> Tuple[int, int, int, int]:
-        return (self.a, self.a1, self.b, self.b1)
-
-
-def mat_identity() -> Mat2:
-    return Mat2(1, 0, 0, 1)
-
 
 def mat_det(phi: Mat2, gu: GF2Ext) -> int:
     return gu.mul(phi.a, phi.b1) ^ gu.mul(phi.a1, phi.b)
-
-
-def mat_mul(x: Mat2, y: Mat2, gu: GF2Ext) -> Mat2:
-    return Mat2(
-        gu.mul(x.a, y.a) ^ gu.mul(x.a1, y.b),
-        gu.mul(x.a, y.a1) ^ gu.mul(x.a1, y.b1),
-        gu.mul(x.b, y.a) ^ gu.mul(x.b1, y.b),
-        gu.mul(x.b, y.a1) ^ gu.mul(x.b1, y.b1),
-    )
 
 
 def sl2_generators(ctx: FieldContext) -> List[Mat2]:
@@ -100,20 +79,6 @@ def gl2_generators(ctx: FieldContext) -> List[Mat2]:
     """Transvections plus one diagonal of primitive determinant."""
     g = 2 if ctx.u > 1 else 1
     return [Mat2(1, 1, 0, 1), Mat2(1, 0, g, 1), Mat2(g, 0, 0, 1)]
-
-
-def matrix_group_order(gens: Sequence[Mat2], gu: GF2Ext) -> int:
-    """Cardinality of the generated matrix group, by closure."""
-    seen = {mat_identity().entries()}
-    queue = deque([mat_identity()])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = mat_mul(g, x, gu)
-            if y.entries() not in seen:
-                seen.add(y.entries())
-                queue.append(y)
-    return len(seen)
 
 
 def matrix_to_permutation(ctx: FieldContext, phi: Mat2) -> Tuple[int, ...]:
@@ -193,55 +158,6 @@ def orbits_on_cosets(
         tuple(table.weights[smallest].tolist()),
         tuple(np.bincount(class_of).tolist()),
     )
-
-
-@dataclass(frozen=True)
-class Weight2Report:
-    coset_count: int
-    expected_count: int
-    all_have_nonzero_det_pair: bool
-    sum_identity_holds: bool
-
-
-def orbit_weight2_structure(code: LinearCode, table: Optional[CosetTable] = None) -> Weight2Report:
-    """Weight-2 coset census of the top-level code.
-
-    Checks that every weight-2 coset contains a pair of positions whose
-    quadratic determinant is nonzero, that the count is r*rbar^2, and that
-    the weight function of a position sum splits as the pair sum plus the
-    determinant.
-    """
-    if code.level != code.ctx.u or code.extended:
-        raise ValueError("weight-2 census applies to the unextended top level")
-    ctx = code.ctx
-    if table is None:
-        table = CosetTable(code)
-    exp, log, qterm = ctx.gm.exp, ctx.gm.log, ctx.qterm
-    identity_ok = True
-    for a in range(ctx.n):
-        for b in range(a + 1, ctx.n):
-            h = exp[a] ^ exp[b]
-            pa, pb = ctx.quad_pairs[a], ctx.quad_pairs[b]
-            det = ctx.pair_det(pa, pb)
-            if qterm[log[h]] != qterm[a] ^ qterm[b] ^ det:
-                identity_ok = False
-    weight2 = np.flatnonzero(table.weights == 2).tolist()
-    all_det = True
-    for s in weight2:
-        found = False
-        for a in range(ctx.n):
-            sa = code.unit_syndromes[a]
-            for b in range(a + 1, ctx.n):
-                if sa ^ code.unit_syndromes[b] == s:
-                    if ctx.pair_det(ctx.quad_pairs[a], ctx.quad_pairs[b]) != 0:
-                        found = True
-                        break
-            if found:
-                break
-        if not found:
-            all_det = False
-    expected = ctx.r * ctx.rbar * ctx.rbar
-    return Weight2Report(len(weight2), expected, all_det, identity_ok)
 
 
 def translation_permutation(ctx: FieldContext, w: int) -> Tuple[int, ...]:
@@ -421,19 +337,10 @@ def extended_orbits(
 
 
 def conjecture_report(
-    m: int,
-    levels: Optional[Sequence[int]] = None,
-    syndrome_targets: Optional[Sequence[int]] = None,
-    poly_m: Optional[int] = None,
-    poly_u: Optional[int] = None,
+    chain: Sequence[LinearCode], levels: Optional[Sequence[int]] = None
 ) -> List[CTReport]:
     """Per-level transitivity verdicts next to the predicted levels."""
-    from .field import build_field_context
-    from .codes import build_chain
-
-    if m > 8:
+    if chain[0].ctx.m > 8:
         raise ValueError("transitivity survey supported for m <= 8")
-    ctx = build_field_context(m, poly_m, poly_u)
-    chain = build_chain(ctx, syndrome_targets)
-    picked = range(ctx.u + 1) if levels is None else levels
+    picked = range(len(chain)) if levels is None else levels
     return [certify_transitivity(chain[i]) for i in picked]

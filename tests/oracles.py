@@ -1,25 +1,29 @@
 """Brute-force references that the tests compare the library against.
 
-Nothing in the package calls these: designs are checked there from a
-histogram of pair syndromes, graph6 is only ever written, cosets are known
-by their weights alone and moved by a linear map of syndromes rather than by
-their leaders, complete regularity is counted over the whole weight
-array at once, a coset graph is folded as the Cayley graph of a quotient
-group rather than by the edges that cross its fibres, and a covering map is
-a linear map of syndromes, checked on the unit syndromes rather than edge by
-edge.
+Nothing in the package calls these: coset distributions and dual spectra
+come there from one Walsh-Hadamard transform of the unit syndromes rather
+than from every dual word, designs are checked from a histogram of pair
+syndromes, graph6 is only ever written, cosets are known by their weights
+alone and moved by a linear map of syndromes rather than by their leaders,
+complete regularity is counted over the whole weight array at once, a coset
+graph is folded as the Cayley graph of a quotient group rather than by the
+edges that cross its fibres, and a covering map is a linear map of
+syndromes, checked on the unit syndromes rather than edge by edge.  The
+counts, cyclicity, matrix-group and weight-2 helpers back claims that the
+tests check directly.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from crcodes.gf2 import bit_support
+from crcodes.gf2 import bit_support, gf2_span
 from crcodes.graphs import CoverReport, FoldedGraph, build_coset_graph
-from crcodes.regularity import DesignReport, IntersectionArray, RegularityReport
-from crcodes.transitivity import OrbitPartition
+from crcodes.regularity import CosetTable, DesignReport, IntersectionArray, RegularityReport
+from crcodes.transitivity import Mat2, OrbitPartition
 
 
 def weight3_codewords(code):
@@ -233,3 +237,184 @@ def cover_by_edges(fine_code, coarse_code):
     witness = None if ok_rows.all() else int(np.flatnonzero(~ok_rows)[0])
     return CoverReport(expected, bool((counts == expected).all()), witness is None,
                        tuple(proj.tolist()), witness)
+
+
+def dual_enumerate(code):
+    """All 2^(syndrome width) words of the dual, Gray-code order."""
+    return list(gf2_span(list(code.parity_rows)))
+
+
+def dual_weight_table(code):
+    """Weight of every dual word, indexed by the mask of parity rows it sums;
+    step t of the Gray-code walk visits mask t ^ (t >> 1)."""
+    table = [0] * (1 << len(code.parity_rows))
+    for t, word in enumerate(dual_enumerate(code)):
+        table[t ^ (t >> 1)] = word.bit_count()
+    return table
+
+
+def krawtchouk_matrix(n):
+    k = [[0] * (n + 1) for _ in range(n + 1)]
+    for j in range(n + 1):
+        for w in range(n + 1):
+            k[j][w] = sum(
+                (-1) ** l * comb(j, l) * comb(n - j, w - l)
+                for l in range(max(0, w - (n - j)), min(j, w) + 1)
+            )
+    return k
+
+
+def coset_distributions(code):
+    """Weight distribution of every coset in syndrome order, each from the
+    dual-side transform over every dual word: O(4^r) in all."""
+    dual_wt = dual_weight_table(code)
+    kraw = krawtchouk_matrix(code.length)
+    for s in range(len(dual_wt)):
+        counts = {}
+        for t, j in enumerate(dual_wt):
+            counts[j] = counts.get(j, 0) + (-1 if (s & t).bit_count() & 1 else 1)
+        dist = []
+        for w in range(code.length + 1):
+            q, rem = divmod(sum(nj * kraw[j][w] for j, nj in counts.items()), len(dual_wt))
+            if rem:
+                raise RuntimeError("dual transform gave a non-integer count")
+            dist.append(q)
+        yield tuple(dist)
+
+
+def distributions_uniform_by_syndrome(code, table):
+    """Do all cosets of one weight have the same weight distribution?"""
+    per_weight = {}
+    for w, dist in zip(table.weights.tolist(), coset_distributions(code)):
+        if per_weight.setdefault(w, dist) != dist:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class CyclicReport:
+    cyclic: bool
+    claimed: bool
+
+
+def verify_cyclic(code):
+    """Closure of the dual under the coordinate rotation p -> p+1 mod n.
+
+    Only the level-u and level-0 codes are claimed cyclic; for other levels
+    the result is reported without any claim attached.
+    """
+    if code.extended:
+        raise ValueError("cyclicity is about the unextended coordinate ring")
+    n = code.length
+    mask = (1 << n) - 1
+    words = set(dual_enumerate(code))
+    cyclic = all(((w << 1) | (w >> (n - 1))) & mask in words for w in words)
+    return CyclicReport(cyclic=cyclic, claimed=code.level in (0, code.ctx.u))
+
+
+def count_codes_at_level(u, i):
+    """Number of distinct level-i codes: the Gaussian binomial [u, u-i]_2."""
+    if not 0 <= i <= u:
+        raise ValueError(f"level {i} outside 0..{u}")
+    k = u - i
+    num = den = 1
+    for t in range(k):
+        num *= (1 << (u - t)) - 1
+        den *= (1 << (k - t)) - 1
+    assert num % den == 0
+    return num // den
+
+
+def count_full_chains(u):
+    """Number of maximal nested chains: prod over 0 <= i < u of (2^(u-i) - 1)."""
+    out = 1
+    for i in range(u):
+        out *= (1 << (u - i)) - 1
+    return out
+
+
+def pair_det(ctx, a, b):
+    """The 2x2 determinant of two quadratic pairs over the subfield."""
+    mul = ctx.gu.mul
+    return mul(a.g1, b.g2) ^ mul(b.g1, a.g2)
+
+
+def quad_det(ctx, a, b):
+    """The determinant of the quadratic decompositions of a and b."""
+    return pair_det(ctx, ctx.quad_decompose(a), ctx.quad_decompose(b))
+
+
+def mat_identity():
+    return Mat2(1, 0, 0, 1)
+
+
+def mat_mul(x, y, gu):
+    return Mat2(
+        gu.mul(x.a, y.a) ^ gu.mul(x.a1, y.b),
+        gu.mul(x.a, y.a1) ^ gu.mul(x.a1, y.b1),
+        gu.mul(x.b, y.a) ^ gu.mul(x.b1, y.b),
+        gu.mul(x.b, y.a1) ^ gu.mul(x.b1, y.b1),
+    )
+
+
+def matrix_closure(gens, gu):
+    """Every element of the generated matrix group, in BFS order from the
+    identity."""
+    seen = {mat_identity(): None}
+    queue = deque(seen)
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = mat_mul(g, x, gu)
+            if y not in seen:
+                seen[y] = None
+                queue.append(y)
+    return list(seen)
+
+
+@dataclass(frozen=True)
+class Weight2Report:
+    coset_count: int
+    expected_count: int
+    all_have_nonzero_det_pair: bool
+    sum_identity_holds: bool
+
+
+def orbit_weight2_structure(code, table=None):
+    """Weight-2 coset census of the top-level code.
+
+    Checks that every weight-2 coset contains a pair of positions whose
+    quadratic determinant is nonzero, that the count is r*rbar^2, and that
+    the weight function of a position sum splits as the pair sum plus the
+    determinant.
+    """
+    if code.level != code.ctx.u or code.extended:
+        raise ValueError("weight-2 census applies to the unextended top level")
+    ctx = code.ctx
+    if table is None:
+        table = CosetTable(code)
+    exp, log, qterm = ctx.gm.exp, ctx.gm.log, ctx.qterm
+    identity_ok = True
+    for a in range(ctx.n):
+        for b in range(a + 1, ctx.n):
+            h = exp[a] ^ exp[b]
+            det = pair_det(ctx, ctx.quad_pairs[a], ctx.quad_pairs[b])
+            if qterm[log[h]] != qterm[a] ^ qterm[b] ^ det:
+                identity_ok = False
+    weight2 = np.flatnonzero(table.weights == 2).tolist()
+    all_det = True
+    for s in weight2:
+        found = False
+        for a in range(ctx.n):
+            sa = code.unit_syndromes[a]
+            for b in range(a + 1, ctx.n):
+                if sa ^ code.unit_syndromes[b] == s:
+                    if pair_det(ctx, ctx.quad_pairs[a], ctx.quad_pairs[b]) != 0:
+                        found = True
+                        break
+            if found:
+                break
+        if not found:
+            all_det = False
+    expected = ctx.r * ctx.rbar * ctx.rbar
+    return Weight2Report(len(weight2), expected, all_det, identity_ok)

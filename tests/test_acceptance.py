@@ -12,8 +12,6 @@ from math import comb
 
 from crcodes.codes import (
     check_membership,
-    count_codes_at_level,
-    count_full_chains,
     dual_spectrum,
     extend_code,
 )
@@ -26,17 +24,17 @@ from crcodes.graphs import (
 )
 from crcodes.regularity import (
     CosetTable,
-    _coset_distributions,
     check_design,
     cria_array,
     design_lambda,
+    distributions_uniform,
     extended_cria_array,
     verify_completely_regular,
     verify_extended_array,
     verify_mu_identity,
 )
 from crcodes.transitivity import certify_transitivity, conjecture_report, extended_orbits
-from oracles import coset_leaders
+from oracles import coset_distributions, coset_leaders, count_codes_at_level, count_full_chains
 
 
 def record(number, label, problems, seconds, limit=None):
@@ -197,12 +195,13 @@ def test_criterion_07_transform_oracle(chain4):
     t0 = time.perf_counter()
     problems = []
     for code, label in ((chain4[2], "plain"), (extend_code(chain4[2]), "extended")):
-        dists = list(_coset_distributions(code))
+        dists = list(coset_distributions(code))
         leaders = coset_leaders(code)
         words = list(code.codewords())
         expected_cosets = 64 if label == "plain" else 128
         if len(dists) != expected_cosets:
             problems.append(f"{label}: {len(dists)} cosets")
+        per_weight = {}
         for s, (dist, leader) in enumerate(zip(dists, leaders)):
             hist = [0] * (code.length + 1)
             for c in words:
@@ -213,6 +212,10 @@ def test_criterion_07_transform_oracle(chain4):
                     f"from enumeration"
                 )
                 break
+            per_weight.setdefault(leader.bit_count(), set()).add(dist)
+        uniform = all(len(found) == 1 for found in per_weight.values())
+        if distributions_uniform(code, CosetTable(code)) != uniform:
+            problems.append(f"{label}: uniformity differs from enumeration")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:
         problems.append(f"runtime {elapsed:.2f}s exceeds 30s")
@@ -239,7 +242,7 @@ def test_criterion_08_complete_transitivity(chain4, tables4, chain6, tables6):
             part, name = extended_orbits(star, CosetTable(star))
             if part.orbit_count != 5:
                 problems.append(f"m={m} i={i} extended: {part.orbit_count} via {name}")
-    for rep in conjecture_report(6):
+    for rep in conjecture_report(chain6):
         if not rep.certified:
             problems.append(f"m=6 i={rep.level} uncertified ({rep.orbit_count} orbits)")
     elapsed = time.perf_counter() - t0

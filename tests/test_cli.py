@@ -134,6 +134,7 @@ def test_verify_failure_carries_witness(capsys, monkeypatch):
         ["verify", "--m", "6", "--exhaustive"],
         ["verify", "--m", "8", "--suite", "duals", "--exhaustive"],
         ["verify", "--m", "4", "--suite", "cr", "--exhaustive", "--extended"],
+        ["verify", "--subspace-basis", "01,01"],
     ],
 )
 def test_config_errors_exit_3(capsys, argv):
@@ -143,18 +144,21 @@ def test_config_errors_exit_3(capsys, argv):
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):
-    # an exception other than ValueError is a fault of the program: one line
-    # on stderr, no traceback, and its own exit code
-    def broken(ws, m):
-        raise RuntimeError("orbit mixes coset weights")
-        yield
+    # an exception raised past the input checks is a fault of the program,
+    # a ValueError included: one line on stderr, no traceback, and its own
+    # exit code
+    for exc in (RuntimeError("orbit mixes coset weights"),
+                ValueError("generator does not stabilize the code")):
+        def broken(ws, m):
+            raise exc
+            yield
 
-    monkeypatch.setitem(cli._SUITE_FN, "cr", broken)
-    code = cli.main(["verify", "--m", "4", "--suite", "cr"])
-    assert code == 4
-    captured = capsys.readouterr()
-    assert captured.err == "internal error: RuntimeError: orbit mixes coset weights\n"
-    assert captured.out == ""
+        monkeypatch.setitem(cli._SUITE_FN, "cr", broken)
+        code = cli.main(["verify", "--m", "4", "--suite", "cr"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["build", "export"])
@@ -322,9 +326,11 @@ def test_verify_m8_designs_and_membership(capsys):
     elapsed = time.perf_counter() - t0
     assert code == 0
     assert report["summary"] == {
-        "checks": 21, "passed": 21, "failed": 0, "undetermined": 0, "verdict": "pass",
+        "checks": 26, "passed": 26, "failed": 0, "undetermined": 0, "verdict": "pass",
     }
     computed = {(r["claim"], r["level"]): r["computed"] for r in report["results"]}
+    for i in range(5):
+        assert computed["coset-distributions-uniform", i] == "uniform=True"
     lams = (127, 63, 31, 15, 7)
     for i, lam in enumerate(lams):
         assert computed["design-weight3", i] == f"{255 * lam // 3} blocks, lambda={lam}"

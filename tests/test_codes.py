@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,17 +13,21 @@ from crcodes.codes import (
     build_hamming_parity,
     build_power_parity,
     check_membership,
-    count_codes_at_level,
-    count_full_chains,
-    dual_enumerate,
     dual_spectrum,
+    dual_weights,
     extend_code,
     load_code,
     save_code,
-    verify_cyclic,
     _support_xor,
 )
 from crcodes.gf2 import gf2_rank, gf2_span
+from oracles import (
+    count_codes_at_level,
+    count_full_chains,
+    dual_enumerate,
+    dual_weight_table,
+    verify_cyclic,
+)
 
 
 def test_hamming_parity_columns():
@@ -234,6 +239,15 @@ def test_extended_dual_spectrum():
         sp0 = dual_spectrum(extend_code(chain[0]))
         assert sp0.weights == (half, 1 << m)
         assert sp0.s == 2
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_dual_weights_match_gray_code_enumeration(m):
+    for code in build_chain(build_field_context(m)):
+        for c in (code, extend_code(code)):
+            assert dual_weights(c).tolist() == dual_weight_table(c)
+            nonzero = Counter(w.bit_count() for w in dual_enumerate(c) if w)
+            assert dual_spectrum(c).counts == dict(nonzero)
 
 
 def test_dual_words_annihilate_code():

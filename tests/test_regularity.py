@@ -1,11 +1,14 @@
 """Coset tables, intersection arrays, distributions and design checks."""
 
+import random
+from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
-from crcodes.codes import extend_code
+from crcodes.codes import dual_spectrum, dual_weights, extend_code
+from crcodes.gf2 import gf2_rank
 from crcodes import regularity
 from crcodes.regularity import (
     CosetTable,
@@ -20,15 +23,18 @@ from crcodes.regularity import (
     verify_extension_condition,
     verify_mu_identity,
     verify_uniformly_packed,
-    _coset_distributions,
-    _krawtchouk_matrix,
 )
 from oracles import (
+    coset_distributions,
     coset_leaders,
+    distributions_uniform_by_syndrome,
+    dual_enumerate,
+    dual_weight_table,
     extended_weight4_codewords,
     loop_completely_regular,
     verify_design,
     weight3_codewords,
+    krawtchouk_matrix,
     weight4_codewords,
 )
 
@@ -42,7 +48,7 @@ def brute_coset_distribution(code, rep):
 
 def test_krawtchouk_sanity():
     n = 15
-    k = _krawtchouk_matrix(n)
+    k = krawtchouk_matrix(n)
     from math import comb
 
     for w in range(n + 1):
@@ -92,22 +98,31 @@ def test_leaders_are_canonical_m4(chain4, tables4):
 
 def test_distributions_match_brute_force_m4(chain4):
     for code in chain4[1:]:
-        for dist, leader in zip(_coset_distributions(code), coset_leaders(code)):
+        for dist, leader in zip(coset_distributions(code), coset_leaders(code)):
             assert dist == brute_coset_distribution(code, leader)
 
 
 def test_extended_distributions_match_brute_force_m4(chain4):
     for code in chain4[1:]:
         star = extend_code(code)
-        for dist, leader in zip(_coset_distributions(star), coset_leaders(star)):
+        for dist, leader in zip(coset_distributions(star), coset_leaders(star)):
             assert dist == brute_coset_distribution(star, leader)
 
 
 def test_coset_weight_distribution_single_calls(chain4):
     code = chain4[2]
-    dists = list(_coset_distributions(code))
+    dists = list(coset_distributions(code))
     for v in (0b1, 0b1010010, (1 << 14) | 0b11):
         assert dists[code.syndrome(v)] == brute_coset_distribution(code, v)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_distributions_uniform_matches_per_syndrome_oracle(m, request):
+    for code in request.getfixturevalue(f"chain{m}"):
+        for c in (code, extend_code(code)):
+            table = CosetTable(c)
+            assert distributions_uniform(c, table) is True
+            assert distributions_uniform_by_syndrome(c, table) is True
 
 
 def test_completely_regular_and_arrays_m4(chain4, tables4):
@@ -321,12 +336,17 @@ def test_extension_condition(chain4, chain6):
     assert verify_extension_condition(star) is None
 
 
+def stub_code(units, width):
+    """A code given only by its unit syndromes and the parity rows they make."""
+    rows = tuple(sum(1 << p for p, us in enumerate(units) if us >> j & 1) for j in range(width))
+    return SimpleNamespace(length=len(units), syndrome_width=width,
+                           unit_syndromes=tuple(units), parity_rows=rows)
+
+
 def non_cr_shim(ctx4):
     """Hamming rows plus a weight-2 dual row: a code that is not completely
-    regular, given by its unit syndromes and parity rows."""
-    units = tuple(ctx4.gm.exp[p] | ((1 << 4) if p in (0, 1) else 0) for p in range(15))
-    rows = tuple(sum(1 << p for p, us in enumerate(units) if us >> j & 1) for j in range(5))
-    return SimpleNamespace(length=15, syndrome_width=5, unit_syndromes=units, parity_rows=rows)
+    regular."""
+    return stub_code([ctx4.gm.exp[p] | ((1 << 4) if p in (0, 1) else 0) for p in range(15)], 5)
 
 
 def test_regularity_witness_on_non_cr_code(ctx4):
@@ -352,3 +372,27 @@ def test_coset_table_needs_connected_units():
     stub = SimpleNamespace(syndrome_width=5, unit_syndromes=(1, 2, 4, 8, 3))
     with pytest.raises(RuntimeError, match="not connected"):
         CosetTable(stub)
+
+
+def test_transform_agrees_with_oracles_on_random_stubs():
+    # negative controls: random distinct nonzero unit syndromes that span
+    # F_2^r; of these codes only the zero-dimensional ones (n = r), whose
+    # cosets are single words, have uniform distributions
+    rng = random.Random(16)
+    stubs = trivial = 0
+    while stubs < 200:
+        r = rng.randint(5, 7)
+        units = rng.sample(range(1, 1 << r), rng.randint(r, 20))
+        if gf2_rank(units, r) < r:
+            continue
+        stubs += 1
+        stub = stub_code(units, r)
+        table = CosetTable(stub)
+        got = distributions_uniform(stub, table)
+        assert got is distributions_uniform_by_syndrome(stub, table)
+        assert got is (len(units) == r)
+        trivial += got
+        assert dual_weights(stub).tolist() == dual_weight_table(stub)
+        nonzero = Counter(w.bit_count() for w in dual_enumerate(stub) if w)
+        assert dual_spectrum(stub).counts == dict(nonzero)
+    assert trivial == 10

@@ -1,13 +1,12 @@
 """Matrix and translation actions, orbit counts, transitivity verdicts."""
 
 import random
-from collections import deque
 
 import pytest
 
 from crcodes.codes import build_chain, extend_code
 from crcodes.field import build_field_context
-from crcodes.regularity import CosetTable, _coset_distributions
+from crcodes.regularity import CosetTable
 from crcodes.transitivity import (
     ActingGroup,
     Mat2,
@@ -22,37 +21,30 @@ from crcodes.transitivity import (
     gl2_generators,
     lift_permutation,
     mat_det,
-    mat_identity,
-    mat_mul,
-    matrix_group_order,
     matrix_to_permutation,
-    orbit_weight2_structure,
     orbits_on_cosets,
     semilinear_extension,
     sl2_generators,
     translation_permutation,
 )
-from oracles import coset_leaders, leader_orbits, permute_word, stabilizes_by_rows
-
-
-def matrix_closure(gens, gu):
-    seen = {mat_identity().entries(): mat_identity()}
-    queue = deque([mat_identity()])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = mat_mul(g, x, gu)
-            if y.entries() not in seen:
-                seen[y.entries()] = y
-                queue.append(y)
-    return list(seen.values())
+from oracles import (
+    coset_distributions,
+    coset_leaders,
+    leader_orbits,
+    mat_identity,
+    mat_mul,
+    matrix_closure,
+    orbit_weight2_structure,
+    permute_word,
+    stabilizes_by_rows,
+)
 
 
 def test_group_orders(ctx4, ctx6):
-    assert matrix_group_order(sl2_generators(ctx4), ctx4.gu) == 60
-    assert matrix_group_order(gl2_generators(ctx4), ctx4.gu) == 180
-    assert matrix_group_order(sl2_generators(ctx6), ctx6.gu) == 504
-    assert matrix_group_order(gl2_generators(ctx6), ctx6.gu) == 3528
+    assert len(matrix_closure(sl2_generators(ctx4), ctx4.gu)) == 60
+    assert len(matrix_closure(gl2_generators(ctx4), ctx4.gu)) == 180
+    assert len(matrix_closure(sl2_generators(ctx6), ctx6.gu)) == 504
+    assert len(matrix_closure(gl2_generators(ctx6), ctx6.gu)) == 3528
 
 
 def test_identity_permutation(ctx4):
@@ -67,14 +59,12 @@ def test_singular_matrix_rejected(ctx4):
 def test_composition_exhaustive_gl2_4(ctx4):
     group = matrix_closure(gl2_generators(ctx4), ctx4.gu)
     assert len(group) == 180
-    perms = {g.entries(): matrix_to_permutation(ctx4, g) for g in group}
+    perms = {g: matrix_to_permutation(ctx4, g) for g in group}
     rng = random.Random(7)
     for _ in range(400):
         x, y = rng.choice(group), rng.choice(group)
         xy = mat_mul(x, y, ctx4.gu)
-        assert perms[xy.entries()] == compose_permutations(
-            perms[x.entries()], perms[y.entries()]
-        )
+        assert perms[xy] == compose_permutations(perms[x], perms[y])
 
 
 def test_weight_function_scales_by_det(ctx4, chain4):
@@ -136,7 +126,7 @@ def test_frobenius_preserves_hamming(ctx4, chain4):
 
 def test_coset_action_basics(ctx4, chain4, tables4):
     code, table = chain4[2], tables4[2]
-    dists = list(_coset_distributions(code))
+    dists = list(coset_distributions(code))
     assert coset_action(tuple(range(code.length)), code).tolist() == list(range(len(table)))
     for g in gl2_generators(ctx4):
         image = coset_action(matrix_to_permutation(ctx4, g), code)
@@ -309,16 +299,16 @@ def test_conjecture_predicate():
     assert not conjecture_predicate(4, 3)  # 8 > 5
 
 
-def test_conjecture_report_m4_m6():
-    for m in (4, 6):
-        reports = conjecture_report(m)
+def test_conjecture_report_m4_m6(chain4, chain6):
+    for m, chain in ((4, chain4), (6, chain6)):
+        reports = conjecture_report(chain)
         assert all(r.certified for r in reports)
         assert all(r.predicted for r in reports)
         assert [r.level for r in reports] == list(range(m // 2 + 1))
 
 
 def test_conjecture_report_m8():
-    reports = conjecture_report(8)
+    reports = conjecture_report(build_chain(build_field_context(8)))
     by_level = {r.level: r for r in reports}
     assert by_level[0].certified and by_level[1].certified and by_level[4].certified
     assert by_level[2].predicted and not by_level[3].predicted
@@ -327,7 +317,7 @@ def test_conjecture_report_m8():
     for i in (2, 3):
         assert by_level[i].orbit_count >= by_level[i].rho + 1
     with pytest.raises(ValueError):
-        conjecture_report(10)
+        conjecture_report(build_chain(build_field_context(10)))
 
 
 def test_m8_level2_certifies_with_subfield_aligned_targets():

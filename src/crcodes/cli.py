@@ -105,8 +105,8 @@ class Check:
 
 
 class Workspace:
-    """Caches per-m chains and coset tables, and holds the
-    settings every suite reads."""
+    """Caches per-m chains and coset tables (an extended one is doubled from
+    the plain one), and holds the settings every suite reads."""
 
     def __init__(self, targets: Optional[Sequence[int]] = None,
                  poly_m: Optional[int] = None, poly_u: Optional[int] = None,
@@ -133,7 +133,8 @@ class Workspace:
         return self.chain(m)[i]
 
     def table(self, m, i, ext=False):
-        return self._get(("table", m, i, ext), lambda: CosetTable(self.code(m, i, ext)))
+        return self._get(("table", m, i, ext), lambda: CosetTable(
+            self.code(m, i, ext), self.table(m, i) if ext else None))
 
     def ct(self, m, i):
         return self._get(

@@ -15,16 +15,15 @@ the code iff its syndrome is 0.  All objects are immutable after construction.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .field import FieldContext, PRIM_POLYS, build_field_context
-from .gf2 import bit_support, gf2_nullspace, gf2_rank, gf2_rref, gf2_span, gf2_wht
+from .gf2 import gf2_nullspace, gf2_rank, gf2_rref, gf2_wht
 
 __all__ = [
     "ParityCheckMatrix",
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParityCheckMatrix:
+class ParityCheckMatrix(NamedTuple):
     """Rows are ints over GF(2); bit p of a row is the entry in column p."""
 
     rows: Tuple[int, ...]
@@ -156,10 +154,6 @@ class LinearCode:
                 s ^= low
         return tuple(rows)
 
-    @property
-    def parity(self) -> ParityCheckMatrix:
-        return ParityCheckMatrix(self.parity_rows, self.length)
-
     def syndrome(self, v: int) -> int:
         if not 0 <= v < (1 << self.length):
             raise ValueError(f"vector does not have length {self.length}")
@@ -170,18 +164,6 @@ class LinearCode:
             s ^= units[low.bit_length() - 1]
             v ^= low
         return s
-
-    def contains(self, v: int) -> bool:
-        return self.syndrome(v) == 0
-
-    def codewords(self) -> Iterator[int]:
-        """All 2^dimension codewords; only sensible for small dimensions."""
-        return gf2_span(list(self.generator_rows))
-
-    def quad_sum_in_subspace(self, value: int) -> bool:
-        """Whether a quad_sum value lies in the span of the targets."""
-        # the projection functionals vanish exactly on the span
-        return all((mask & value).bit_count() & 1 == 0 for mask in self.proj_masks)
 
     def describe(self) -> Dict[str, object]:
         ctx = self.ctx
@@ -227,6 +209,10 @@ def _support_xor(values: Sequence[int], packed: np.ndarray) -> np.ndarray:
     return acc
 
 
+# vectors packed and checked at a time, so memory stays flat in their number
+_BLOCK = 8192
+
+
 def check_membership(code: LinearCode, vectors: Iterable[int]) -> bool:
     """Is every vector a codeword exactly when its field sum and its weight
     sum (quad_sum) are both zero?  Vectors are ints of the code's length."""
@@ -235,16 +221,17 @@ def check_membership(code: LinearCode, vectors: Iterable[int]) -> bool:
     if code.extended:
         raise ValueError("the membership check is about unextended codes")
     nbytes = -(-code.length // 8)
-    buf = bytearray()
-    for v in vectors:
-        buf += v.to_bytes(nbytes, "little")
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
-    if (packed[:, -1] >> (code.length - 8 * (nbytes - 1))).any():
-        raise ValueError(f"vector does not have length {code.length}")
-    syn = _support_xor(code.unit_syndromes, packed)
-    field_sum = _support_xor(code.ctx.gm.exp, packed)
-    weight_sum = _support_xor(code.ctx.qterm, packed)
-    return bool(np.all((syn == 0) == ((field_sum == 0) & (weight_sum == 0))))
+    vectors = iter(vectors)
+    agree = True
+    while buf := b"".join(v.to_bytes(nbytes, "little") for v in islice(vectors, _BLOCK)):
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
+        if (packed[:, -1] >> (code.length - 8 * (nbytes - 1))).any():
+            raise ValueError(f"vector does not have length {code.length}")
+        syn = _support_xor(code.unit_syndromes, packed)
+        field_sum = _support_xor(code.ctx.gm.exp, packed)
+        weight_sum = _support_xor(code.ctx.qterm, packed)
+        agree &= bool(np.all((syn == 0) == ((field_sum == 0) & (weight_sum == 0))))
+    return agree
 
 
 def build_base_code(ctx: FieldContext) -> LinearCode:
@@ -315,8 +302,7 @@ def extend_code(code: LinearCode) -> LinearCode:
     )
 
 
-@dataclass(frozen=True)
-class DualSpectrum:
+class DualSpectrum(NamedTuple):
     """Nonzero dual weights with multiplicities; s is the external distance."""
 
     counts: Dict[int, int]
@@ -349,6 +335,8 @@ def dual_spectrum(code: LinearCode) -> DualSpectrum:
 
 def save_code(code: LinearCode, path_prefix: str) -> Tuple[str, str]:
     """Write ``<prefix>.json`` (descriptor) and ``<prefix>.pchk`` (0/1 rows)."""
+    import json
+
     desc_path = path_prefix + ".json"
     pchk_path = path_prefix + ".pchk"
     with open(desc_path, "w", encoding="utf-8") as fh:
@@ -363,6 +351,8 @@ def save_code(code: LinearCode, path_prefix: str) -> Tuple[str, str]:
 
 def load_code(desc_path: str) -> LinearCode:
     """Rebuild a code from its JSON descriptor, checking the stored rows."""
+    import json
+
     with open(desc_path, "r", encoding="utf-8") as fh:
         desc = json.load(fh)
     ctx = build_field_context(

@@ -180,18 +180,6 @@ class FieldContext:
         if len(set(embed)) != self.q:
             raise RuntimeError("subfield embedding is not injective")
         self._embed: List[int] = embed
-        self._unembed: Dict[int, int] = {v: a for a, v in enumerate(embed)}
-
-    def embed_subfield(self, a: int) -> int:
-        """GF(2^u) value -> the corresponding GF(2^m) element."""
-        return self._embed[a]
-
-    def project_subfield(self, value: int) -> int:
-        """GF(2^m) element lying in the subfield -> its GF(2^u) value."""
-        try:
-            return self._unembed[value]
-        except KeyError:
-            raise ValueError(f"0x{value:x} is not in the subfield") from None
 
     # -- quadratic decomposition ------------------------------------------
 

@@ -2,11 +2,12 @@
 
 Every coset of a chain code is identified with its packed syndrome, so the
 coset space is the dense range [0, 2^(n-k)).  A coset table is the array of
-coset weights, from a BFS over syndromes (neighbors differ by a unit-vector
-syndrome); complete regularity, the coset count identity and uniform packing
-read nothing else.  Coset weight distributions are constant on each weight
-class exactly when, for every dual weight j, the Walsh-Hadamard transform N_j
-of the indicator of the weight-j dual words is.
+coset weights: a BFS over syndromes (neighbors differ by a unit syndrome) for
+a plain code, its base table doubled for an extended one.  Complete regularity,
+the coset count identity and uniform packing read nothing else.  Coset weight
+distributions are constant on each weight class exactly when, for every dual
+weight j, the Walsh-Hadamard transform N_j of the indicator of the weight-j
+dual words is.
 Complete regularity is read off the weight array: the coset s ^ U[p] is
 s's neighbour through position p, so one vectorised pass per unit syndrome
 gives every coset's counts c_l (down) and b_l (up) at once.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,35 +52,48 @@ __all__ = [
 class CosetTable:
     """Weights of all cosets of one code, indexed by packed syndrome.
 
-    A BFS from syndrome 0 gives them: the neighbours of a coset are its
-    sums with the unit syndromes.
+    A plain code's come from a BFS over the unit syndromes.  An extended
+    code's coset s | b*2^r is base coset s with parity b: its weight is
+    w(s) + ((w(s) + b) mod 2) for w the base table (``base``, or built).
     """
 
-    def __init__(self, code: LinearCode):
+    def __init__(self, code: LinearCode, base: Optional[CosetTable] = None):
         if code.syndrome_width > 20:
             raise ValueError("coset enumeration capped at 2^20 syndromes")
-        units = code.unit_syndromes
-        weight = [-1] * (1 << code.syndrome_width)
-        weight[0] = 0
-        queue = deque([0])
-        while queue:
-            s = queue.popleft()
-            w = weight[s] + 1
-            for us in units:
-                t = s ^ us
-                if weight[t] < 0:
-                    weight[t] = w
-                    queue.append(t)
-        if min(weight) < 0:
-            raise RuntimeError("syndrome space is not connected by unit syndromes")
+        if getattr(code, "extended", False):  # stub codes need only U, r and n
+            base = base if base is not None else CosetTable(code.base)
+            par = 1 << base.code.syndrome_width
+            units = code.unit_syndromes
+            if units[0] != par or units[1:] != tuple(s | par for s in base.code.unit_syndromes):
+                raise ValueError("extended unit syndromes are not the base ones plus a parity bit")
+            odd = base.weights & 1
+            self.weights = np.concatenate((base.weights + odd, base.weights + 1 - odd))
+        else:
+            self.weights = _bfs_weights(code.unit_syndromes, code.syndrome_width)
         self.code = code
-        # weights[s] is the weight of the coset with syndrome s
-        self.weights = np.array(weight, dtype=np.int64)
         self.rho = int(self.weights.max())
         self.mu: Tuple[int, ...] = tuple(np.bincount(self.weights).tolist())
 
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def _bfs_weights(units: Sequence[int], width: int) -> np.ndarray:
+    """Distance from 0 of every syndrome, steps being the unit syndromes."""
+    weight = [-1] * (1 << width)
+    weight[0] = 0
+    queue = deque([0])
+    while queue:
+        s = queue.popleft()
+        w = weight[s] + 1
+        for us in units:
+            t = s ^ us
+            if weight[t] < 0:
+                weight[t] = w
+                queue.append(t)
+    if min(weight) < 0:
+        raise RuntimeError("syndrome space is not connected by unit syndromes")
+    return np.array(weight, dtype=np.int64)
 
 
 def distributions_uniform(code: LinearCode, table: CosetTable) -> bool:

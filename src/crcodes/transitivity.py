@@ -13,7 +13,7 @@ where the linear stabilizer alone leaves too many orbits.
 
 A permutation pi stabilizes C, the kernel of v -> XOR of U[p] over the
 support of v, exactly when one linear map of syndromes sends each U[p] to
-U[pi(p)]; one RREF finds that map or shows there is none, and the map moves
+U[pi(p)]; r basis pairs give that map, all n pairs check it, and it moves
 every coset at once.  Orbits are the components of the generator maps,
 found by min-label propagation and numbered by their smallest syndrome.
 """
@@ -21,12 +21,13 @@ found by min-label propagation and numbered by their smallest syndrome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .codes import LinearCode
-from .field import FieldContext, GF2Ext, QuadPair
+from .field import FieldContext, GF2Ext
 from .gf2 import gf2_linear_map, gf2_span
 from .regularity import CosetTable
 
@@ -81,17 +82,26 @@ def gl2_generators(ctx: FieldContext) -> List[Mat2]:
     return [Mat2(1, 1, 0, 1), Mat2(1, 0, g, 1), Mat2(g, 0, 0, 1)]
 
 
+@lru_cache(maxsize=8)
+def _pair_tables(ctx: FieldContext) -> Tuple[np.ndarray, ...]:
+    """Subfield products mul[a, b], positions pos[g1, g2] and position labels."""
+    exp, log = np.array(ctx.gu.exp * 2), np.array(ctx.gu.log)
+    mul = exp[log[:, None] + log]
+    mul[0] = mul[:, 0] = 0
+    g1, g2 = np.array(ctx.quad_pairs).T
+    pos = np.full((ctx.q, ctx.q), -1)
+    pos[g1, g2] = np.arange(ctx.n)
+    return mul, pos, g1, g2
+
+
 def matrix_to_permutation(ctx: FieldContext, phi: Mat2) -> Tuple[int, ...]:
     """Coordinate permutation of the pair labels under the column action."""
-    gu = ctx.gu
-    if mat_det(phi, gu) == 0:
+    if mat_det(phi, ctx.gu) == 0:
         raise ValueError("singular matrix does not permute positions")
-    perm = []
-    for g1, g2 in ctx.quad_pairs:
-        h1 = gu.mul(phi.a, g1) ^ gu.mul(phi.a1, g2)
-        h2 = gu.mul(phi.b, g1) ^ gu.mul(phi.b1, g2)
-        perm.append(ctx.position_of_pair(QuadPair(h1, h2)))
-    return tuple(perm)
+    mul, pos, g1, g2 = _pair_tables(ctx)
+    h1 = mul[phi.a, g1] ^ mul[phi.a1, g2]
+    h2 = mul[phi.b, g1] ^ mul[phi.b1, g2]
+    return tuple(pos[h1, h2].tolist())
 
 
 def frobenius_permutation(ctx: FieldContext, k: int) -> Tuple[int, ...]:
@@ -112,14 +122,30 @@ class OrbitPartition:
     orbit_sizes: Tuple[int, ...]
 
 
-def coset_action(perm: Sequence[int], code: LinearCode) -> Optional[np.ndarray]:
+def _unit_basis(code: LinearCode) -> List[int]:
+    """The first r positions, greedily, whose unit syndromes are independent."""
+    rows, picked = [], []  # rows: reduced, leading bits distinct and descending
+    for p, s in enumerate(code.unit_syndromes):
+        for row in rows:
+            s = min(s, s ^ row)
+        if s:
+            rows = sorted(rows + [s], reverse=True)
+            picked.append(p)
+            if len(picked) == code.syndrome_width:
+                break
+    return picked
+
+
+def coset_action(perm: Sequence[int], code: LinearCode,
+                 basis: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
     """Image of every syndrome under the coset map of perm, or None when
-    perm does not stabilize the code."""
+    perm does not stabilize the code: the map fixed on the unit syndromes
+    of ``basis`` (see _unit_basis) must send every U[p] to U[perm[p]]."""
     units = code.unit_syndromes
-    return gf2_linear_map(
-        ((units[p], units[perm[p]]) for p in range(code.length)),
-        code.syndrome_width, code.syndrome_width,
-    )
+    pairs = ((units[p], units[perm[p]]) for p in basis or _unit_basis(code))
+    image = gf2_linear_map(pairs, code.syndrome_width, code.syndrome_width)
+    u = np.array(units)
+    return None if image is None or (image[u] != u[np.array(perm)]).any() else image
 
 
 def orbits_on_cosets(
@@ -128,11 +154,12 @@ def orbits_on_cosets(
     """Orbit partition of all cosets under the generated permutation group."""
     if table is None:
         table = CosetTable(code)
+    basis = _unit_basis(code)
     maps = []
     for gi, perm in enumerate(gens):
         if len(perm) != code.length:
             raise ValueError(f"generator {gi} has wrong length")
-        image = coset_action(perm, code)
+        image = coset_action(perm, code, basis)
         if image is None:
             raise ValueError(f"generator {gi} does not stabilize the code")
         if (table.weights[image] != table.weights).any():

@@ -8,9 +8,14 @@ alone and moved by a linear map of syndromes rather than by their leaders,
 complete regularity is counted over the whole weight array at once, a coset
 graph is folded as the Cayley graph of a quotient group rather than by the
 edges that cross its fibres, and a covering map is a linear map of
-syndromes, checked on the unit syndromes rather than edge by edge.  The
-counts, cyclicity, matrix-group and weight-2 helpers back claims that the
-tests check directly.
+syndromes, checked on the unit syndromes rather than edge by edge.  An
+extended code's coset table is doubled from its base table rather than
+searched, a coset map is fixed by r basis pairs rather than by an RREF of
+all n, matrix permutations are gathered from tables rather than looked up
+position by position, and membership vectors are checked in numpy blocks.
+The field embedding, membership, codeword and parity-matrix helpers are
+test-only views of a field or code.  The counts, cyclicity, matrix-group
+and weight-2 helpers back claims that the tests check directly.
 """
 
 from collections import deque
@@ -20,10 +25,63 @@ from math import comb
 
 import numpy as np
 
-from crcodes.gf2 import bit_support, gf2_span
+from crcodes.codes import ParityCheckMatrix
+from crcodes.field import QuadPair
+from crcodes.gf2 import bit_support, gf2_linear_map, gf2_span
 from crcodes.graphs import CoverReport, FoldedGraph, build_coset_graph
 from crcodes.regularity import CosetTable, DesignReport, IntersectionArray, RegularityReport
 from crcodes.transitivity import Mat2, OrbitPartition
+
+
+def embed_subfield(ctx, a):
+    """The GF(2^m) element of the GF(2^u) value a: the sum of zeta^k over
+    the bits k of a, zeta being the subfield polynomial's root."""
+    v = 0
+    for k in bit_support(a):
+        v ^= ctx.gm.power(ctx.zeta, k)
+    return v
+
+
+def project_subfield(ctx, value):
+    """The GF(2^u) value of a GF(2^m) element lying in the subfield."""
+    for a in range(ctx.q):
+        if embed_subfield(ctx, a) == value:
+            return a
+    raise ValueError(f"0x{value:x} is not in the subfield")
+
+
+def parity(code):
+    """The code's parity-check matrix, one row per syndrome bit."""
+    return ParityCheckMatrix(code.parity_rows, code.length)
+
+
+def contains(code, v):
+    return code.syndrome(v) == 0
+
+
+def codewords(code):
+    """All 2^dimension codewords; only sensible for small dimensions."""
+    return gf2_span(list(code.generator_rows))
+
+
+def quad_sum_in_subspace(code, value):
+    """Whether a quad_sum value lies in the span of the targets."""
+    # the projection functionals vanish exactly on the span
+    return all((mask & value).bit_count() & 1 == 0 for mask in code.proj_masks)
+
+
+def bfs_weights(units, width):
+    """Weight of every syndrome by BFS from 0 over the unit syndromes."""
+    weight = [-1] * (1 << width)
+    weight[0] = 0
+    queue = deque([0])
+    while queue:
+        s = queue.popleft()
+        for us in units:
+            if weight[s ^ us] < 0:
+                weight[s ^ us] = weight[s] + 1
+                queue.append(s ^ us)
+    return weight
 
 
 def weight3_codewords(code):
@@ -38,7 +96,7 @@ def weight3_codewords(code):
             t = log[exp[a] ^ exp[b]]
             if t <= b:
                 continue
-            if code.quad_sum_in_subspace(qterm[a] ^ qterm[b] ^ qterm[t]):
+            if quad_sum_in_subspace(code, qterm[a] ^ qterm[b] ^ qterm[t]):
                 out.append((1 << a) | (1 << b) | (1 << t))
     return out
 
@@ -57,7 +115,7 @@ def weight4_codewords(code):
         d = log[rest]
         if d <= c:
             continue
-        if code.quad_sum_in_subspace(qterm[a] ^ qterm[b] ^ qterm[c] ^ qterm[d]):
+        if quad_sum_in_subspace(code, qterm[a] ^ qterm[b] ^ qterm[c] ^ qterm[d]):
             out.append((1 << a) | (1 << b) | (1 << c) | (1 << d))
     return out
 
@@ -122,7 +180,7 @@ def permute_word(perm, v):
 
 def stabilizes_by_rows(perm, code):
     """Does perm map every generator row into the code?"""
-    return all(code.contains(permute_word(perm, row)) for row in code.generator_rows)
+    return all(contains(code, permute_word(perm, row)) for row in code.generator_rows)
 
 
 def coset_leaders(code):
@@ -206,6 +264,40 @@ def loop_completely_regular(code, table):
             }
             return RegularityReport(False, None, witness)
     return RegularityReport(True, IntersectionArray(b=tuple(b_vals[:rho]), c=tuple(c_vals[1:])))
+
+
+def permutation_by_positions(ctx, phi):
+    """Coordinate permutation of a 2x2 subfield matrix, one position at a
+    time: the column action on the position's pair label, looked up."""
+    gu = ctx.gu
+    perm = []
+    for g1, g2 in ctx.quad_pairs:
+        h1 = gu.mul(phi.a, g1) ^ gu.mul(phi.a1, g2)
+        h2 = gu.mul(phi.b, g1) ^ gu.mul(phi.b1, g2)
+        perm.append(ctx.position_of_pair(QuadPair(h1, h2)))
+    return tuple(perm)
+
+
+def coset_map_by_all_pairs(perm, code):
+    """The coset map of perm from one RREF of all n pairs (U[p], U[perm[p]])."""
+    units = code.unit_syndromes
+    return gf2_linear_map(((units[p], units[perm[p]]) for p in range(code.length)),
+                          code.syndrome_width, code.syndrome_width)
+
+
+def membership_by_vectors(code, vectors):
+    """The membership verdict one vector at a time: zero syndrome exactly
+    when the field sum and the weight sum are zero."""
+    ctx = code.ctx
+    verdict = True
+    for v in vectors:
+        syn = field_sum = weight_sum = 0
+        for p in bit_support(v):
+            syn ^= code.unit_syndromes[p]
+            field_sum ^= ctx.gm.exp[p]
+            weight_sum ^= ctx.qterm[p]
+        verdict &= (syn == 0) == (field_sum == 0 and weight_sum == 0)
+    return verdict
 
 
 def fold_by_edges(adjacency, fibres):

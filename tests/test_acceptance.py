@@ -34,7 +34,14 @@ from crcodes.regularity import (
     verify_mu_identity,
 )
 from crcodes.transitivity import certify_transitivity, conjecture_report, extended_orbits
-from oracles import coset_distributions, coset_leaders, count_codes_at_level, count_full_chains
+from oracles import (
+    codewords,
+    contains,
+    coset_distributions,
+    coset_leaders,
+    count_codes_at_level,
+    count_full_chains,
+)
 
 
 def record(number, label, problems, seconds, limit=None):
@@ -58,7 +65,7 @@ def test_criterion_01_membership_equivalence(ctx4, chain4, ctx6, chain6):
     top4 = chain4[-1]
     for v in range(1 << 15):
         want = field_sum(ctx4, v) == 0 and ctx4.quad_sum(v) == 0
-        if top4.contains(v) != want:
+        if contains(top4, v) != want:
             problems.append(f"m=4 vector {v:#x} disagrees")
             break
     if not check_membership(top4, range(1 << 15)):
@@ -68,7 +75,7 @@ def test_criterion_01_membership_equivalence(ctx4, chain4, ctx6, chain6):
     vectors = [rng.getrandbits(63) for _ in range(100_000)]
     for v in vectors:
         want = field_sum(ctx6, v) == 0 and ctx6.quad_sum(v) == 0
-        if top6.contains(v) != want:
+        if contains(top6, v) != want:
             problems.append(f"m=6 vector {v:#x} disagrees")
             break
     if not check_membership(top6, vectors):
@@ -197,7 +204,7 @@ def test_criterion_07_transform_oracle(chain4):
     for code, label in ((chain4[2], "plain"), (extend_code(chain4[2]), "extended")):
         dists = list(coset_distributions(code))
         leaders = coset_leaders(code)
-        words = list(code.codewords())
+        words = list(codewords(code))
         expected_cosets = 64 if label == "plain" else 128
         if len(dists) != expected_cosets:
             problems.append(f"{label}: {len(dists)} cosets")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crcodes import cli
+from crcodes import cli, regularity
 from crcodes.codes import load_code
 from crcodes.graphs import build_coset_graph
 from crcodes.regularity import IntersectionArray
@@ -283,12 +283,15 @@ def test_console_entry_point():
 
 
 def test_import_loads_no_numpy():
-    # the package and a chain build load no numpy; the other layers load it
-    # on first use of one of their names
+    # the package and a chain build load no numpy, dataclasses, inspect or
+    # json; the other layers load them on first use of one of their names
     script = (
-        "import sys, crcodes\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import crcodes\n"
         "crcodes.build_chain(crcodes.build_field_context(8))\n"
-        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        "heavy = {'numpy', 'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)\n"
+        "assert not heavy, f'loaded {sorted(heavy)}'\n"
         "missing = [n for n in crcodes.__all__ if getattr(crcodes, n, None) is None]\n"
         "assert not missing, missing\n"
     )
@@ -318,6 +321,28 @@ def test_verify_builds_no_graph(capsys, monkeypatch):
     assert report["summary"] == {
         "checks": 32, "passed": 32, "failed": 0, "undetermined": 0, "verdict": "pass",
     }
+
+
+def test_workspace_searches_only_plain_codes(capsys, monkeypatch):
+    # an extended table is doubled from the cached plain one: the BFS never
+    # sees an extended code, whose length 2^m is the only even one
+    searched = []
+    real = regularity._bfs_weights
+
+    def plain_only(units, width):
+        if len(units) % 2 == 0:
+            raise AssertionError("BFS ran on an extended code")
+        searched.append(width)
+        return real(units, width)
+
+    monkeypatch.setattr(regularity, "_bfs_weights", plain_only)
+    code, report = run_json(capsys, ["verify", "--m", "6"])
+    assert code == 0 and report["summary"]["failed"] == 0
+    assert sorted(searched) == [6, 7, 8, 9]
+    ws = cli.Workspace()
+    for i in range(3):
+        assert ws.table(4, i, True).rho == ws.table(4, i).rho + 1
+    assert sorted(searched) == [4, 5, 6, 6, 7, 8, 9]
 
 
 def test_verify_m8_designs_and_membership(capsys):

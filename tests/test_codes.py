@@ -20,12 +20,17 @@ from crcodes.codes import (
     save_code,
     _support_xor,
 )
+from crcodes import codes
 from crcodes.gf2 import gf2_rank, gf2_span
 from oracles import (
+    codewords,
+    contains,
     count_codes_at_level,
     count_full_chains,
     dual_enumerate,
     dual_weight_table,
+    membership_by_vectors,
+    parity,
     verify_cyclic,
 )
 
@@ -89,7 +94,7 @@ def test_base_membership_equivalence_m4():
             t ^= low
         by_sums = h == 0 and ctx.quad_sum(v) == 0
         assert by_parity == by_sums
-        assert code.contains(v) == by_sums
+        assert contains(code, v) == by_sums
 
 
 def test_support_xor_matches_bit_loops(chain4, chain6):
@@ -123,6 +128,40 @@ def test_check_membership_detects_corrupt_unit_syndrome(chain4, bit):
     assert not check_membership(fake, range(1 << 15))
 
 
+@pytest.mark.parametrize("block", [codes._BLOCK, 1000])
+@pytest.mark.parametrize("bit", [None, 0, 4], ids=["true", "field-sum-bit", "weight-sum-bit"])
+def test_blocked_membership_matches_one_shot_oracle(chain4, monkeypatch, block, bit):
+    # exhaustive m = 4, in the module's blocks and in small ones that end
+    # in a partial block; a corrupt unit syndrome must fail in any block
+    monkeypatch.setattr(codes, "_BLOCK", block)
+    top = chain4[-1]
+    units = list(top.unit_syndromes)
+    if bit is not None:
+        units[5] ^= 1 << bit
+    fake = SimpleNamespace(ctx=top.ctx, length=top.length, extended=False,
+                           unit_syndromes=tuple(units))
+    want = membership_by_vectors(fake, range(1 << 15))
+    assert want is (bit is None)
+    assert check_membership(fake, range(1 << 15)) is want
+    # one disagreeing vector, in the first or in the last, partial block
+    disagree = [v for v in range(1 << 15) if not membership_by_vectors(fake, [v])]
+    if disagree:
+        agreeing = [0] * (2 * block + 3)
+        assert check_membership(fake, agreeing)
+        assert not check_membership(fake, disagree[:1] + agreeing)
+        assert not check_membership(fake, agreeing + disagree[:1])
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_blocked_membership_rejects_long_vector_in_any_block(chain4, where):
+    top = chain4[-1]
+    count = 2 * codes._BLOCK + 5
+    vectors = [3] * count
+    vectors[0 if where == "first" else count - 1] = 1 << 15
+    with pytest.raises(ValueError, match="length 15"):
+        check_membership(top, vectors)
+
+
 def test_check_membership_rejects_bad_input(chain4):
     top = chain4[-1]
     with pytest.raises(ValueError, match="length 15"):
@@ -139,13 +178,13 @@ def test_chain_nesting():
             finer = chain[i + 1]
             coarser = chain[i]
             for g in finer.generator_rows:
-                assert coarser.contains(g)
+                assert contains(coarser, g)
         # adjoined representative j lies in level i exactly when j <= u - i
         targets = chain[0].syndrome_targets
         reps = chain[0].adjoined_reps
         for i in range(ctx.u + 1):
             for j, rep in enumerate(reps):
-                assert chain[i].contains(rep) == (j < ctx.u - i)
+                assert contains(chain[i], rep) == (j < ctx.u - i)
         for j, (t, rep) in enumerate(zip(targets, reps)):
             assert rep.bit_count() == 3
             assert ctx.quad_sum(rep) == t
@@ -171,7 +210,7 @@ def test_min_weights_m4():
     chain = build_chain(ctx)
     for code, expect_w3 in zip(chain, [35, 15, 5]):
         counts = {}
-        for c in code.codewords():
+        for c in codewords(code):
             w = c.bit_count()
             counts[w] = counts.get(w, 0) + 1
         assert min(w for w in counts if w > 0) == 3
@@ -183,7 +222,7 @@ def test_extension_properties():
     code = build_chain(ctx)[2]
     ext = extend_code(code)
     assert (ext.length, ext.dimension) == (16, 9)
-    weights = sorted({c.bit_count() for c in ext.codewords() if c})
+    weights = sorted({c.bit_count() for c in codewords(ext) if c})
     assert weights[0] == 4
     assert all(w % 2 == 0 for w in weights)
     with pytest.raises(ValueError):
@@ -193,9 +232,9 @@ def test_extension_properties():
     for _ in range(500):
         v = rng.getrandbits(15)
         par = v.bit_count() & 1
-        assert code.contains(v) == ext.contains((v << 1) | par)
-        if code.contains(v) and par == 0:
-            assert not ext.contains((v << 1) | 1)
+        assert contains(code, v) == contains(ext, (v << 1) | par)
+        if contains(code, v) and par == 0:
+            assert not contains(ext, (v << 1) | 1)
 
 
 def test_extended_unit_syndromes():
@@ -325,9 +364,9 @@ def test_membership_examples_level1():
                 continue
             v = (1 << a) | (1 << b) | (1 << t)
             s = ctx.quad_sum(v)
-            assert chain[0].contains(v)
-            assert chain[1].contains(v) == (s in (0, 1))
-            assert chain[2].contains(v) == (s == 0)
+            assert contains(chain[0], v)
+            assert contains(chain[1], v) == (s in (0, 1))
+            assert contains(chain[2], v) == (s == 0)
             if s in found:
                 found[s] = True
     assert all(found.values())
@@ -339,7 +378,7 @@ def test_parity_syndrome_matches_unit_xor():
         rng = random.Random(code.length)
         for _ in range(200):
             v = rng.getrandbits(code.length)
-            assert code.parity.syndrome(v) == code.syndrome(v)
+            assert parity(code).syndrome(v) == code.syndrome(v)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from crcodes.codes import dual_spectrum, dual_weights, extend_code
+from crcodes.codes import build_chain, dual_spectrum, dual_weights, extend_code
+from crcodes.field import build_field_context
 from crcodes.gf2 import gf2_rank
 from crcodes import regularity
 from crcodes.regularity import (
@@ -25,6 +26,9 @@ from crcodes.regularity import (
     verify_uniformly_packed,
 )
 from oracles import (
+    bfs_weights,
+    codewords,
+    contains,
     coset_distributions,
     coset_leaders,
     distributions_uniform_by_syndrome,
@@ -41,7 +45,7 @@ from oracles import (
 
 def brute_coset_distribution(code, rep):
     dist = [0] * (code.length + 1)
-    for cw in code.codewords():
+    for cw in codewords(code):
         dist[(cw ^ rep).bit_count()] += 1
     return tuple(dist)
 
@@ -231,13 +235,13 @@ def test_weight3_counts(chain4, chain6):
             lam = design_lambda(m, i)
             assert len(words) == n * lam // 3
             for w in words:
-                assert w.bit_count() == 3 and code.contains(w)
+                assert w.bit_count() == 3 and contains(code, w)
 
 
 def test_weight3_words_exhaustive_m4(chain4):
     for code in chain4:
         expected = sorted(
-            cw for cw in code.codewords() if cw.bit_count() == 3
+            cw for cw in codewords(code) if cw.bit_count() == 3
         )
         assert sorted(weight3_codewords(code)) == expected
 
@@ -245,7 +249,7 @@ def test_weight3_words_exhaustive_m4(chain4):
 def test_weight4_words_exhaustive_m4(chain4):
     for code in chain4:
         expected = sorted(
-            cw for cw in code.codewords() if cw.bit_count() == 4
+            cw for cw in codewords(code) if cw.bit_count() == 4
         )
         assert sorted(weight4_codewords(code)) == expected
 
@@ -273,7 +277,7 @@ def test_extended_weight4_designs(chain4, chain6):
             assert rep.ok
             assert rep.lam == design_lambda(m, i)
             for w in words:
-                assert w.bit_count() == 4 and star.contains(w)
+                assert w.bit_count() == 4 and contains(star, w)
             fast = check_design(star)
             assert (fast.blocks, fast.lam, fast.ok) == (rep.blocks, rep.lam, rep.ok)
             assert (fast.points, fast.block_weight, fast.strength) == (n + 1, 4, 2)
@@ -396,3 +400,37 @@ def test_transform_agrees_with_oracles_on_random_stubs():
         nonzero = Counter(w.bit_count() for w in dual_enumerate(stub) if w)
         assert dual_spectrum(stub).counts == dict(nonzero)
     assert trivial == 10
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_tables_equal_bfs_oracle(m):
+    # extended tables are doubled from the base table, never searched
+    for code in build_chain(build_field_context(m)):
+        table = CosetTable(code)
+        assert table.weights.tolist() == bfs_weights(code.unit_syndromes, code.syndrome_width)
+        star = extend_code(code)
+        want = bfs_weights(star.unit_syndromes, star.syndrome_width)
+        for star_table in (CosetTable(star), CosetTable(star, table)):
+            assert star_table.weights.tolist() == want, code.level
+            assert star_table.rho == max(want) == table.rho + 1
+            assert star_table.mu == tuple(Counter(want)[w] for w in range(max(want) + 1))
+            assert star_table.code is star
+
+
+@pytest.mark.parametrize("position", [0, 3], ids=["parity-unit", "base-unit"])
+def test_extended_table_checks_parity_premise(chain4, tables4, position):
+    # a stub whose unit syndromes are not the base ones behind a parity bit
+    code, table = chain4[1], tables4[1]
+    width = code.syndrome_width + 1
+    par = 1 << code.syndrome_width
+    good = [par] + [s | par for s in code.unit_syndromes]
+    bad = list(good)
+    bad[position] ^= 1
+
+    def stub(units):
+        return SimpleNamespace(extended=True, length=len(units), unit_syndromes=tuple(units),
+                               syndrome_width=width)
+
+    assert CosetTable(stub(good), table).weights.tolist() == bfs_weights(good, width)
+    with pytest.raises(ValueError, match="parity bit"):
+        CosetTable(stub(bad), table)

@@ -1,5 +1,6 @@
 """Matrix and translation actions, orbit counts, transitivity verdicts."""
 
+import itertools
 import random
 
 import pytest
@@ -28,13 +29,17 @@ from crcodes.transitivity import (
     translation_permutation,
 )
 from oracles import (
+    codewords,
+    contains,
     coset_distributions,
+    coset_map_by_all_pairs,
     coset_leaders,
     leader_orbits,
     mat_identity,
     mat_mul,
     matrix_closure,
     orbit_weight2_structure,
+    permutation_by_positions,
     permute_word,
     stabilizes_by_rows,
 )
@@ -72,7 +77,7 @@ def test_weight_function_scales_by_det(ctx4, chain4):
     # exactly the determinant as a factor
 
     hamming = chain4[0]
-    words = [w for w in hamming.codewords() if 0 < w.bit_count() <= 4]
+    words = [w for w in codewords(hamming) if 0 < w.bit_count() <= 4]
     group = matrix_closure(gl2_generators(ctx4), ctx4.gu)
     for g in group:
         det = mat_det(g, ctx4.gu)
@@ -108,12 +113,12 @@ def test_generators_stabilize_codes(ctx4, chain4, ctx6, chain6):
         for g in gl2_generators(ctx):
             perm = matrix_to_permutation(ctx, g)
             for row in top.generator_rows:
-                assert top.contains(permute_word(perm, row))
+                assert contains(top, permute_word(perm, row))
         level1 = chain[1]
         for g in sl2_generators(ctx):
             perm = matrix_to_permutation(ctx, g)
             for row in level1.generator_rows:
-                assert level1.contains(permute_word(perm, row))
+                assert contains(level1, permute_word(perm, row))
 
 
 def test_frobenius_preserves_hamming(ctx4, chain4):
@@ -121,7 +126,7 @@ def test_frobenius_preserves_hamming(ctx4, chain4):
     perm = frobenius_permutation(ctx4, 1)
     assert sorted(perm) == list(range(15))
     for row in hamming.generator_rows:
-        assert hamming.contains(permute_word(perm, row))
+        assert contains(hamming, permute_word(perm, row))
 
 
 def test_coset_action_basics(ctx4, chain4, tables4):
@@ -252,11 +257,11 @@ def test_translations(ctx4, chain4):
             ) == translation_permutation(ctx4, w ^ w2)
     star = extend_code(chain4[2])
     rng = random.Random(3)
-    words = list(star.codewords())
+    words = list(codewords(star))
     for _ in range(20):
         w = rng.randrange(16)
         v = rng.choice(words)
-        assert star.contains(permute_word(translation_permutation(ctx4, w), v))
+        assert contains(star, permute_word(translation_permutation(ctx4, w), v))
 
 
 def test_translation_label_range(ctx4):
@@ -329,3 +334,64 @@ def test_m8_level2_certifies_with_subfield_aligned_targets():
     assert rep.certified
     assert rep.group == "SL2+diag"
     assert rep.orbit_count == 4
+
+
+def _all_generators(ctx, code):
+    """(code, generators) for the code and its extension, as
+    certify_transitivity and extended_orbits build them, with the group
+    widened by label squarings wherever they fit."""
+    translations = [translation_permutation(ctx, 1 << k) for k in range(ctx.m)]
+    for perms in _generator_sets(ctx, code).values():
+        yield code, perms
+        yield extend_code(code), [lift_permutation(p) for p in perms] + translations
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_coset_action_matches_all_pairs_rref(m):
+    ctx = build_field_context(m)
+    for code in build_chain(ctx):
+        for c, gens in _all_generators(ctx, code):
+            for perm in gens:
+                want = coset_map_by_all_pairs(perm, c)
+                assert want is not None
+                assert coset_action(perm, c).tolist() == want.tolist(), (code.level, c.extended)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_transposition_does_not_stabilize(m, request):
+    for code in request.getfixturevalue(f"chain{m}"):
+        for c in (code, extend_code(code)):
+            swap = list(range(c.length))
+            swap[1], swap[2] = 2, 1
+            assert coset_action(swap, c) is None
+            assert coset_map_by_all_pairs(swap, c) is None
+            with pytest.raises(ValueError, match="generator 1 does not stabilize"):
+                orbits_on_cosets([tuple(range(c.length)), swap], c)
+
+
+def test_matrix_permutations_match_position_loop_m4(ctx4):
+    q = ctx4.q
+    singular = 0
+    for a, a1, b, b1 in itertools.product(range(q), repeat=4):
+        phi = Mat2(a, a1, b, b1)
+        if mat_det(phi, ctx4.gu) == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                matrix_to_permutation(ctx4, phi)
+        else:
+            assert matrix_to_permutation(ctx4, phi) == permutation_by_positions(ctx4, phi)
+    assert singular == q ** 4 - 180
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_matrix_permutations_match_position_loop(m):
+    ctx = build_field_context(m)
+    mats = set(sl2_generators(ctx)) | set(gl2_generators(ctx))
+    for code in build_chain(ctx):
+        group = default_acting_group(code)
+        mats |= set(group.matrices)
+        mats |= {Mat2(d, 0, 0, 1) for _, d in semilinear_extension(code)}
+    for phi in mats:
+        assert matrix_to_permutation(ctx, phi) == permutation_by_positions(ctx, phi)
+    with pytest.raises(ValueError, match="singular"):
+        matrix_to_permutation(ctx, Mat2(1, 1, 1, 1))

@@ -60,7 +60,7 @@ class CosetTable:
     def __init__(self, code: LinearCode, base: Optional[CosetTable] = None):
         if code.syndrome_width > 20:
             raise ValueError("coset enumeration capped at 2^20 syndromes")
-        if getattr(code, "extended", False):  # stub codes need only U, r and n
+        if code.extended:
             base = base if base is not None else CosetTable(code.base)
             par = 1 << base.code.syndrome_width
             units = code.unit_syndromes

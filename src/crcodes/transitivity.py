@@ -20,8 +20,8 @@ found by min-label propagation and numbered by their smallest syndrome.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,13 +82,13 @@ def gl2_generators(ctx: FieldContext) -> List[Mat2]:
     return [Mat2(1, 1, 0, 1), Mat2(1, 0, g, 1), Mat2(g, 0, 0, 1)]
 
 
-@lru_cache(maxsize=8)
 def _pair_tables(ctx: FieldContext) -> Tuple[np.ndarray, ...]:
     """Subfield products mul[a, b], positions pos[g1, g2] and position labels."""
     exp, log = np.array(ctx.gu.exp * 2), np.array(ctx.gu.log)
     mul = exp[log[:, None] + log]
     mul[0] = mul[:, 0] = 0
-    g1, g2 = np.array(ctx.quad_pairs).T
+    pairs = itertools.chain.from_iterable(ctx.quad_pairs)
+    g1, g2 = np.fromiter(pairs, np.int64, 2 * ctx.n).reshape(-1, 2).T
     pos = np.full((ctx.q, ctx.q), -1)
     pos[g1, g2] = np.arange(ctx.n)
     return mul, pos, g1, g2
@@ -136,13 +136,12 @@ def _unit_basis(code: LinearCode) -> List[int]:
     return picked
 
 
-def coset_action(perm: Sequence[int], code: LinearCode,
-                 basis: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
+def coset_action(perm: Sequence[int], code: LinearCode) -> Optional[np.ndarray]:
     """Image of every syndrome under the coset map of perm, or None when
-    perm does not stabilize the code: the map fixed on the unit syndromes
-    of ``basis`` (see _unit_basis) must send every U[p] to U[perm[p]]."""
+    perm does not stabilize the code: the map fixed on the r independent
+    unit syndromes of _unit_basis must send every U[p] to U[perm[p]]."""
     units = code.unit_syndromes
-    pairs = ((units[p], units[perm[p]]) for p in basis or _unit_basis(code))
+    pairs = ((units[p], units[perm[p]]) for p in _unit_basis(code))
     image = gf2_linear_map(pairs, code.syndrome_width, code.syndrome_width)
     u = np.array(units)
     return None if image is None or (image[u] != u[np.array(perm)]).any() else image
@@ -154,12 +153,11 @@ def orbits_on_cosets(
     """Orbit partition of all cosets under the generated permutation group."""
     if table is None:
         table = CosetTable(code)
-    basis = _unit_basis(code)
     maps = []
     for gi, perm in enumerate(gens):
         if len(perm) != code.length:
             raise ValueError(f"generator {gi} has wrong length")
-        image = coset_action(perm, code, basis)
+        image = coset_action(perm, code)
         if image is None:
             raise ValueError(f"generator {gi} does not stabilize the code")
         if (table.weights[image] != table.weights).any():

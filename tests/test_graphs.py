@@ -76,6 +76,7 @@ def cayley(width, units):
     class Units:
         syndrome_width = width
         unit_syndromes = tuple(units)
+        extended = False
 
     return Units()
 

@@ -343,7 +343,7 @@ def test_extension_condition(chain4, chain6):
 def stub_code(units, width):
     """A code given only by its unit syndromes and the parity rows they make."""
     rows = tuple(sum(1 << p for p, us in enumerate(units) if us >> j & 1) for j in range(width))
-    return SimpleNamespace(length=len(units), syndrome_width=width,
+    return SimpleNamespace(length=len(units), syndrome_width=width, extended=False,
                            unit_syndromes=tuple(units), parity_rows=rows)
 
 
@@ -373,7 +373,7 @@ def test_distributions_not_uniform_on_non_cr_code(ctx4):
 
 def test_coset_table_needs_connected_units():
     # the units span only the low 4 of 5 syndrome bits
-    stub = SimpleNamespace(syndrome_width=5, unit_syndromes=(1, 2, 4, 8, 3))
+    stub = SimpleNamespace(syndrome_width=5, unit_syndromes=(1, 2, 4, 8, 3), extended=False)
     with pytest.raises(RuntimeError, match="not connected"):
         CosetTable(stub)
 

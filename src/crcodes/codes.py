@@ -48,19 +48,6 @@ class ParityCheckMatrix(NamedTuple):
     rows: Tuple[int, ...]
     n_cols: int
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        return gf2_rank(self.rows, self.n_cols)
-
-    def syndrome(self, v: int) -> int:
-        s = 0
-        for t, row in enumerate(self.rows):
-            s |= (((row & v).bit_count() & 1)) << t
-        return s
-
 
 def build_hamming_parity(ctx: FieldContext) -> ParityCheckMatrix:
     """m x n matrix whose column p is the binary expansion of alpha^p."""
@@ -125,12 +112,9 @@ class LinearCode:
         self.dimension = self.length - self.syndrome_width
         self.unit_syndromes: Tuple[int, ...] = self._build_unit_syndromes()
         self.parity_rows: Tuple[int, ...] = self._build_parity_rows()
+        # independent rows leave a code of dimension length - syndrome_width
         if gf2_rank(self.parity_rows, self.length) != self.syndrome_width:
             raise RuntimeError("parity rows are not independent")
-        self.generator_rows: Tuple[int, ...] = tuple(
-            gf2_nullspace(self.parity_rows, self.length)
-        )
-        assert len(self.generator_rows) == self.dimension
 
     def _build_unit_syndromes(self) -> Tuple[int, ...]:
         ctx = self.ctx
@@ -153,17 +137,6 @@ class LinearCode:
                 rows[low.bit_length() - 1] |= 1 << p
                 s ^= low
         return tuple(rows)
-
-    def syndrome(self, v: int) -> int:
-        if not 0 <= v < (1 << self.length):
-            raise ValueError(f"vector does not have length {self.length}")
-        s = 0
-        units = self.unit_syndromes
-        while v:
-            low = v & -v
-            s ^= units[low.bit_length() - 1]
-            v ^= low
-        return s
 
     def describe(self) -> Dict[str, object]:
         ctx = self.ctx
@@ -215,11 +188,19 @@ _BLOCK = 8192
 
 def check_membership(code: LinearCode, vectors: Iterable[int]) -> bool:
     """Is every vector a codeword exactly when its field sum and its weight
-    sum (quad_sum) are both zero?  Vectors are ints of the code's length."""
+    sum (quad_sum) are both zero?  Vectors are ints of the code's length.
+
+    Position p carries U[p] | exp[p] << r | qterm[p] << (r + m) in one int,
+    and XOR keeps the three fields apart, so one table pass per block gives
+    the syndrome (low r bits) and the field and weight sums (the rest).
+    """
     import numpy as np
 
     if code.extended:
         raise ValueError("the membership check is about unextended codes")
+    ctx, r = code.ctx, code.syndrome_width
+    packed_sums = [us | (e << r) | (qt << (r + ctx.m))
+                   for us, e, qt in zip(code.unit_syndromes, ctx.gm.exp, ctx.qterm)]
     nbytes = -(-code.length // 8)
     vectors = iter(vectors)
     agree = True
@@ -227,10 +208,8 @@ def check_membership(code: LinearCode, vectors: Iterable[int]) -> bool:
         packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
         if (packed[:, -1] >> (code.length - 8 * (nbytes - 1))).any():
             raise ValueError(f"vector does not have length {code.length}")
-        syn = _support_xor(code.unit_syndromes, packed)
-        field_sum = _support_xor(code.ctx.gm.exp, packed)
-        weight_sum = _support_xor(code.ctx.qterm, packed)
-        agree &= bool(np.all((syn == 0) == ((field_sum == 0) & (weight_sum == 0))))
+        acc = _support_xor(packed_sums, packed)
+        agree &= bool(np.all((acc & ((1 << r) - 1) == 0) == (acc >> r == 0)))
     return agree
 
 

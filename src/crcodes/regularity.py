@@ -1,16 +1,16 @@
 """Coset regularity: weight partitions, intersection numbers, designs.
 
 Every coset of a chain code is identified with its packed syndrome, so the
-coset space is the dense range [0, 2^(n-k)).  A coset table is the array of
-coset weights: a BFS over syndromes (neighbors differ by a unit syndrome) for
-a plain code, its base table doubled for an extended one.  Complete regularity,
-the coset count identity and uniform packing read nothing else.  Coset weight
-distributions are constant on each weight class exactly when, for every dual
-weight j, the Walsh-Hadamard transform N_j of the indicator of the weight-j
-dual words is.
-Complete regularity is read off the weight array: the coset s ^ U[p] is
-s's neighbour through position p, so one vectorised pass per unit syndrome
-gives every coset's counts c_l (down) and b_l (up) at once.
+coset space is the dense range [0, 2^(n-k)).  A coset table holds the coset
+weights and every coset's neighbour counts: how many of its n neighbours
+s ^ U[p] lie one weight below (down) and one above (up).  A plain code's
+weights come from a BFS over syndromes and its counts from one vectorised
+pass per unit syndrome, made once per table.  An extended code's weights and
+counts are its base table's, doubled in one numpy step by the parity bit.
+Complete regularity, the coset count identity and uniform packing read
+nothing else.  Coset weight distributions are constant on each weight class
+exactly when, for every dual weight j, the Walsh-Hadamard transform N_j of
+the indicator of the weight-j dual words is.
 Design checks read block counts off one histogram of the pair syndromes
 U[a] ^ U[b], without listing any codeword.
 """
@@ -50,11 +50,14 @@ __all__ = [
 
 
 class CosetTable:
-    """Weights of all cosets of one code, indexed by packed syndrome.
+    """Weights and neighbour counts of all cosets of one code, indexed by
+    packed syndrome.
 
-    A plain code's come from a BFS over the unit syndromes.  An extended
-    code's coset s | b*2^r is base coset s with parity b: its weight is
-    w(s) + ((w(s) + b) mod 2) for w the base table (``base``, or built).
+    A plain code's weights come from a BFS over the unit syndromes and its
+    counts from one pass per unit syndrome.  An extended code's coset
+    s | b*2^r is base coset s with parity b (``base``, or built): its weight
+    is w(s) + e with e = (w(s) + b) mod 2, and with c, b the base counts of s
+    its counts are (c, n + 1 - c) when e = 0 and (n + 1 - b, b) when e = 1.
     """
 
     def __init__(self, code: LinearCode, base: Optional[CosetTable] = None):
@@ -66,16 +69,34 @@ class CosetTable:
             units = code.unit_syndromes
             if units[0] != par or units[1:] != tuple(s | par for s in base.code.unit_syndromes):
                 raise ValueError("extended unit syndromes are not the base ones plus a parity bit")
-            odd = base.weights & 1
-            self.weights = np.concatenate((base.weights + odd, base.weights + 1 - odd))
+            weight, down, up = (np.tile(a, 2) for a in (base.weights, base.down, base.up))
+            # e = (w(s) + b) mod 2, with parity b = 0 on the low half
+            e = (weight + np.repeat((0, 1), len(base))) & 1
+            self.weights = weight + e
+            self.down = np.where(e, code.length - up, down)
+            self.up = np.where(e, up, code.length - down)
         else:
             self.weights = _bfs_weights(code.unit_syndromes, code.syndrome_width)
+            self.down, self.up = _neighbour_counts(self.weights, code.unit_syndromes)
         self.code = code
         self.rho = int(self.weights.max())
         self.mu: Tuple[int, ...] = tuple(np.bincount(self.weights).tolist())
 
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def _neighbour_counts(weight: np.ndarray, units: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every coset's neighbours one weight below and one above, one pass
+    over the weight array per unit syndrome."""
+    syn = np.arange(len(weight))
+    down = np.zeros_like(weight)
+    up = np.zeros_like(weight)
+    for us in units:
+        near = weight[syn ^ us]
+        down += near == weight - 1
+        up += near == weight + 1
+    return down, up
 
 
 def _bfs_weights(units: Sequence[int], width: int) -> np.ndarray:
@@ -149,17 +170,10 @@ class RegularityReport:
 
 
 def verify_completely_regular(code: LinearCode, table: CosetTable) -> RegularityReport:
-    """Check constant c_l / b_l over every weight class, one pass over the
-    weight array per unit syndrome.  The witness is the smallest syndrome
-    whose counts differ from those of the first coset of its weight."""
-    weight = table.weights
-    syn = np.arange(len(weight))
-    down = np.zeros_like(weight)
-    up = np.zeros_like(weight)
-    for us in code.unit_syndromes:
-        near = weight[syn ^ us]
-        down += near == weight - 1
-        up += near == weight + 1
+    """Check constant c_l / b_l over every weight class, read off the
+    table's counts.  The witness is the smallest syndrome whose counts
+    differ from those of the first coset of its weight."""
+    weight, down, up = table.weights, table.down, table.up
     rho = table.rho
     # weights take every value 0..rho, so first[l] is a coset of weight l
     first = np.unique(weight, return_index=True)[1]

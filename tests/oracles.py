@@ -5,17 +5,20 @@ come there from one Walsh-Hadamard transform of the unit syndromes rather
 than from every dual word, designs are checked from a histogram of pair
 syndromes, graph6 is only ever written, cosets are known by their weights
 alone and moved by a linear map of syndromes rather than by their leaders,
-complete regularity is counted over the whole weight array at once, a coset
+neighbour counts are taken over the whole weight array at once, a coset
 graph is folded as the Cayley graph of a quotient group rather than by the
 edges that cross its fibres, and a covering map is a linear map of
 syndromes, checked on the unit syndromes rather than edge by edge.  An
-extended code's coset table is doubled from its base table rather than
-searched, a coset map is fixed by r basis pairs rather than by an RREF of
-all n, matrix permutations are gathered from tables rather than looked up
-position by position, and membership vectors are checked in numpy blocks.
-The field embedding, membership, codeword and parity-matrix helpers are
-test-only views of a field or code.  The counts, cyclicity, matrix-group
-and weight-2 helpers back claims that the tests check directly.
+extended code's coset table and counts are doubled from its base table
+rather than searched and counted, a coset map is fixed by r basis pairs
+rather than by an RREF of all n, matrix permutations are gathered from
+tables rather than looked up position by position, and membership vectors
+are checked in numpy blocks, one table pass for all three sums.
+The field embedding, syndrome, membership, generator, codeword and
+parity-matrix helpers are test-only views of a field or code: the package
+reads a code through its unit syndromes and parity rows alone.  The counts,
+cyclicity, matrix-group and weight-2 helpers back claims that the tests
+check directly.
 """
 
 from collections import deque
@@ -27,7 +30,7 @@ import numpy as np
 
 from crcodes.codes import ParityCheckMatrix
 from crcodes.field import QuadPair
-from crcodes.gf2 import bit_support, gf2_linear_map, gf2_span
+from crcodes.gf2 import bit_support, gf2_linear_map, gf2_nullspace, gf2_rank, gf2_span
 from crcodes.graphs import CoverReport, FoldedGraph, build_coset_graph
 from crcodes.regularity import CosetTable, DesignReport, IntersectionArray, RegularityReport
 from crcodes.transitivity import Mat2, OrbitPartition
@@ -55,13 +58,44 @@ def parity(code):
     return ParityCheckMatrix(code.parity_rows, code.length)
 
 
+def n_rows(matrix):
+    return len(matrix.rows)
+
+
+def matrix_rank(matrix):
+    return gf2_rank(matrix.rows, matrix.n_cols)
+
+
+def matrix_syndrome(matrix, v):
+    """Bit t is the parity of row t on the support of v."""
+    s = 0
+    for t, row in enumerate(matrix.rows):
+        s |= ((row & v).bit_count() & 1) << t
+    return s
+
+
+def syndrome(code, v):
+    """XOR of the unit syndromes over the support of v."""
+    if not 0 <= v < (1 << code.length):
+        raise ValueError(f"vector does not have length {code.length}")
+    s = 0
+    for p in bit_support(v):
+        s ^= code.unit_syndromes[p]
+    return s
+
+
 def contains(code, v):
-    return code.syndrome(v) == 0
+    return syndrome(code, v) == 0
+
+
+def generator_rows(code):
+    """A basis of the code: the null space of its parity rows."""
+    return gf2_nullspace(code.parity_rows, code.length)
 
 
 def codewords(code):
     """All 2^dimension codewords; only sensible for small dimensions."""
-    return gf2_span(list(code.generator_rows))
+    return gf2_span(generator_rows(code))
 
 
 def quad_sum_in_subspace(code, value):
@@ -180,7 +214,7 @@ def permute_word(perm, v):
 
 def stabilizes_by_rows(perm, code):
     """Does perm map every generator row into the code?"""
-    return all(contains(code, permute_word(perm, row)) for row in code.generator_rows)
+    return all(contains(code, permute_word(perm, row)) for row in generator_rows(code))
 
 
 def coset_leaders(code):
@@ -237,6 +271,21 @@ def leader_orbits(gens, code, leaders):
     return OrbitPartition(tuple(class_of), len(weights), tuple(weights), tuple(sizes))
 
 
+def loop_neighbour_counts(code, weight):
+    """Each coset's neighbours one weight below and one above, found by
+    visiting its n neighbours one at a time."""
+    down, up = [], []
+    for s, w in enumerate(weight):
+        below = above = 0
+        for us in code.unit_syndromes:
+            nw = weight[s ^ us]
+            below += nw == w - 1
+            above += nw == w + 1
+        down.append(below)
+        up.append(above)
+    return down, up
+
+
 def loop_completely_regular(code, table):
     """Complete regularity by visiting each coset and each of its n
     neighbours; the witness is the first coset, in syndrome order, whose
@@ -244,14 +293,7 @@ def loop_completely_regular(code, table):
     weight = table.weights.tolist()
     rho = max(weight)
     b_vals, c_vals, first = [None] * (rho + 1), [None] * (rho + 1), [None] * (rho + 1)
-    for s, w in enumerate(weight):
-        down = up = 0
-        for us in code.unit_syndromes:
-            nw = weight[s ^ us]
-            if nw == w - 1:
-                down += 1
-            elif nw == w + 1:
-                up += 1
+    for s, (w, down, up) in enumerate(zip(weight, *loop_neighbour_counts(code, weight))):
         if first[w] is None:
             first[w], b_vals[w], c_vals[w] = s, up, down
         elif (c_vals[w], b_vals[w]) != (down, up):
@@ -321,7 +363,7 @@ def cover_by_edges(fine_code, coarse_code):
     images must be its image's neighbours; the witness is the first vertex
     where they are not."""
     fine, coarse = build_coset_graph(fine_code), build_coset_graph(coarse_code)
-    proj = np.array([coarse_code.syndrome(v) for v in coset_leaders(fine_code)])
+    proj = np.array([syndrome(coarse_code, v) for v in coset_leaders(fine_code)])
     expected = fine.vertex_count // coarse.vertex_count
     counts = np.bincount(proj, minlength=coarse.vertex_count)
     images = np.sort(proj[fine.adjacency], axis=1)

@@ -345,6 +345,25 @@ def test_workspace_searches_only_plain_codes(capsys, monkeypatch):
     assert sorted(searched) == [4, 5, 6, 6, 7, 8, 9]
 
 
+def test_workspace_counts_each_plain_table_once(capsys, monkeypatch):
+    # neighbour counts are made once per plain table, by every suite that
+    # reads them, and derived for extended tables, whose unit lists are the
+    # only even-length ones
+    counted = []
+    real = regularity._neighbour_counts
+
+    def plain_only(weight, units):
+        if len(units) % 2 == 0:
+            raise AssertionError("neighbour counts taken for an extended code")
+        counted.append(len(weight))
+        return real(weight, units)
+
+    monkeypatch.setattr(regularity, "_neighbour_counts", plain_only)
+    code, report = run_json(capsys, ["verify", "--m", "6"])
+    assert code == 0 and report["summary"]["failed"] == 0
+    assert sorted(counted) == [1 << 6, 1 << 7, 1 << 8, 1 << 9]
+
+
 def test_verify_m8_designs_and_membership(capsys):
     t0 = time.perf_counter()
     code, report = run_json(capsys, ["verify", "--m", "8", "--suite", "designs,cr"])

@@ -29,8 +29,13 @@ from oracles import (
     count_full_chains,
     dual_enumerate,
     dual_weight_table,
+    generator_rows,
+    matrix_rank,
+    matrix_syndrome,
     membership_by_vectors,
+    n_rows,
     parity,
+    syndrome,
     verify_cyclic,
 )
 
@@ -38,8 +43,8 @@ from oracles import (
 def test_hamming_parity_columns():
     ctx = build_field_context(4)
     hm = build_hamming_parity(ctx)
-    assert hm.n_rows == 4 and hm.n_cols == 15
-    assert hm.rank() == 4
+    assert n_rows(hm) == 4 and hm.n_cols == 15
+    assert matrix_rank(hm) == 4
     for p in range(15):
         col = sum(((hm.rows[t] >> p) & 1) << t for t in range(4))
         assert col == ctx.gm.exp[p]
@@ -49,7 +54,7 @@ def test_power_parity_columns():
     for m in (4, 6):
         ctx = build_field_context(m)
         em = build_power_parity(ctx)
-        assert em.rank() == ctx.u
+        assert matrix_rank(em) == ctx.u
         cols = []
         for p in range(ctx.n):
             col = sum(((em.rows[t] >> p) & 1) << t for t in range(ctx.m))
@@ -74,6 +79,7 @@ def test_chain_dimensions():
         ctx = build_field_context(m)
         chain = build_chain(ctx)
         assert [c.dimension for c in chain] == dims
+        assert [len(generator_rows(c)) for c in chain] == dims
         assert [c.level for c in chain] == list(range(ctx.u + 1))
         base = build_base_code(ctx)
         assert base.parity_rows == chain[ctx.u].parity_rows
@@ -107,41 +113,61 @@ def test_support_xor_matches_bit_loops(chain4, chain6):
         raw = b"".join(v.to_bytes(-(-n // 8), "little") for v in vectors)
         packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), -1)
         assert _support_xor(code.unit_syndromes, packed).tolist() == [
-            code.syndrome(v) for v in vectors
+            syndrome(code, v) for v in vectors
         ]
         assert _support_xor(ctx.qterm, packed).tolist() == [
             ctx.quad_sum(v) for v in vectors
         ]
         assert _support_xor(ctx.gm.exp, packed).tolist() == [
-            code.syndrome(v) & ((1 << ctx.m) - 1) for v in vectors
+            syndrome(code, v) & ((1 << ctx.m) - 1) for v in vectors
         ]
 
 
-@pytest.mark.parametrize("bit", [0, 4], ids=["field-sum-bit", "weight-sum-bit"])
-def test_check_membership_detects_corrupt_unit_syndrome(chain4, bit):
+def corrupt_stub(code, corrupt):
+    """The code with one bit of position 5's unit syndrome ("unit"), field
+    label ("exp") or weight term ("qterm") flipped; unchanged for None."""
+    ctx = code.ctx
+    tables = {"unit": list(code.unit_syndromes), "exp": list(ctx.gm.exp[:ctx.n]),
+              "qterm": list(ctx.qterm)}
+    if corrupt is not None:
+        where, bit = corrupt
+        tables[where][5] ^= 1 << bit
+    fake_ctx = SimpleNamespace(m=ctx.m, n=ctx.n, gm=SimpleNamespace(exp=tables["exp"]),
+                               qterm=tables["qterm"])
+    return SimpleNamespace(ctx=fake_ctx, length=code.length, extended=False,
+                           syndrome_width=code.syndrome_width,
+                           unit_syndromes=tuple(tables["unit"]))
+
+
+# at m = 4, level 2, position p packs U[p] in bits 0-5, exp[p] in bits 6-9
+# and qterm[p] in bits 10-11, so the top cases sit at the field edges
+CORRUPT = {
+    "true": None,
+    "field-sum-bit": ("unit", 0),
+    "weight-sum-bit": ("unit", 4),
+    "top-syndrome-bit": ("unit", 5),
+    "top-field-sum-bit": ("exp", 3),
+    "top-weight-sum-bit": ("qterm", 1),
+}
+
+
+@pytest.mark.parametrize("corrupt", ["field-sum-bit", "weight-sum-bit"])
+def test_check_membership_detects_corrupt_unit_syndrome(chain4, corrupt):
     top = chain4[-1]
     assert check_membership(top, range(1 << 15))
-    units = list(top.unit_syndromes)
-    units[5] ^= 1 << bit
-    fake = SimpleNamespace(ctx=top.ctx, length=top.length, extended=False,
-                           unit_syndromes=tuple(units))
-    assert not check_membership(fake, range(1 << 15))
+    assert not check_membership(corrupt_stub(top, CORRUPT[corrupt]), range(1 << 15))
 
 
 @pytest.mark.parametrize("block", [codes._BLOCK, 1000])
-@pytest.mark.parametrize("bit", [None, 0, 4], ids=["true", "field-sum-bit", "weight-sum-bit"])
-def test_blocked_membership_matches_one_shot_oracle(chain4, monkeypatch, block, bit):
+@pytest.mark.parametrize("corrupt", list(CORRUPT))
+def test_blocked_membership_matches_one_shot_oracle(chain4, monkeypatch, block, corrupt):
     # exhaustive m = 4, in the module's blocks and in small ones that end
-    # in a partial block; a corrupt unit syndrome must fail in any block
+    # in a partial block; a corrupt unit syndrome, field label or weight
+    # term must fail in any block
     monkeypatch.setattr(codes, "_BLOCK", block)
-    top = chain4[-1]
-    units = list(top.unit_syndromes)
-    if bit is not None:
-        units[5] ^= 1 << bit
-    fake = SimpleNamespace(ctx=top.ctx, length=top.length, extended=False,
-                           unit_syndromes=tuple(units))
+    fake = corrupt_stub(chain4[-1], CORRUPT[corrupt])
     want = membership_by_vectors(fake, range(1 << 15))
-    assert want is (bit is None)
+    assert want is (corrupt == "true")
     assert check_membership(fake, range(1 << 15)) is want
     # one disagreeing vector, in the first or in the last, partial block
     disagree = [v for v in range(1 << 15) if not membership_by_vectors(fake, [v])]
@@ -177,7 +203,7 @@ def test_chain_nesting():
         for i in range(ctx.u):
             finer = chain[i + 1]
             coarser = chain[i]
-            for g in finer.generator_rows:
+            for g in generator_rows(finer):
                 assert contains(coarser, g)
         # adjoined representative j lies in level i exactly when j <= u - i
         targets = chain[0].syndrome_targets
@@ -295,7 +321,7 @@ def test_dual_words_annihilate_code():
     words = dual_enumerate(code)
     assert len(words) == len(set(words)) == 1 << code.syndrome_width
     for d in words:
-        for g in code.generator_rows:
+        for g in generator_rows(code):
             assert (d & g).bit_count() & 1 == 0
 
 
@@ -378,7 +404,7 @@ def test_parity_syndrome_matches_unit_xor():
         rng = random.Random(code.length)
         for _ in range(200):
             v = rng.getrandbits(code.length)
-            assert parity(code).syndrome(v) == code.syndrome(v)
+            assert matrix_syndrome(parity(code), v) == syndrome(code, v)
 
 
 def test_save_load_roundtrip(tmp_path):

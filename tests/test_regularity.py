@@ -36,9 +36,11 @@ from oracles import (
     dual_weight_table,
     extended_weight4_codewords,
     loop_completely_regular,
+    loop_neighbour_counts,
     verify_design,
     weight3_codewords,
     krawtchouk_matrix,
+    syndrome,
     weight4_codewords,
 )
 
@@ -88,7 +90,7 @@ def test_leaders_are_canonical_m4(chain4, tables4):
     code = chain4[1]
     best = {}
     for v in range(1 << code.length):
-        s = code.syndrome(v)
+        s = syndrome(code, v)
         key = (v.bit_count(), tuple(i for i in range(code.length) if v >> i & 1))
         if s not in best or key < best[s]:
             best[s] = key
@@ -97,7 +99,7 @@ def test_leaders_are_canonical_m4(chain4, tables4):
     leaders = coset_leaders(code)
     for s, leader in enumerate(leaders):
         assert leader == sum(1 << p for p in best[s][1])
-        assert code.syndrome(leader) == s
+        assert syndrome(code, leader) == s
 
 
 def test_distributions_match_brute_force_m4(chain4):
@@ -117,7 +119,7 @@ def test_coset_weight_distribution_single_calls(chain4):
     code = chain4[2]
     dists = list(coset_distributions(code))
     for v in (0b1, 0b1010010, (1 << 14) | 0b11):
-        assert dists[code.syndrome(v)] == brute_coset_distribution(code, v)
+        assert dists[syndrome(code, v)] == brute_coset_distribution(code, v)
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -366,6 +368,31 @@ def test_regularity_witness_on_non_cr_code(ctx4):
     assert loop_completely_regular(shim, table) == rep
 
 
+def extended_stub(base):
+    """The parity extension of a stub code: the base unit syndromes behind
+    a parity bit, with the parity position's unit first."""
+    par = 1 << base.syndrome_width
+    star = stub_code([par] + [s | par for s in base.unit_syndromes], base.syndrome_width + 1)
+    star.extended = True
+    return star
+
+
+def test_regularity_witness_on_non_cr_extended_code(ctx4):
+    # the extended twin: counts derived from the shim's, against the loop
+    # over a searched table
+    shim = non_cr_shim(ctx4)
+    star = extended_stub(shim)
+    table = CosetTable(star, CosetTable(shim))
+    assert table.weights.tolist() == bfs_weights(star.unit_syndromes, 6)
+    rep = verify_completely_regular(star, table)
+    assert not rep.completely_regular
+    assert rep.array is None
+    assert rep.witness == {
+        "weight": 2, "coset_a": 1, "coset_b": 3, "counts_a": (12, 4), "counts_b": (16, 0),
+    }
+    assert loop_completely_regular(star, table) == rep
+
+
 def test_distributions_not_uniform_on_non_cr_code(ctx4):
     shim = non_cr_shim(ctx4)
     assert distributions_uniform(shim, CosetTable(shim)) is False
@@ -434,3 +461,41 @@ def test_extended_table_checks_parity_premise(chain4, tables4, position):
     assert CosetTable(stub(good), table).weights.tolist() == bfs_weights(good, width)
     with pytest.raises(ValueError, match="parity bit"):
         CosetTable(stub(bad), table)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_extended_counts_equal_kernel_and_loop(m):
+    # counts derived from the base table's against the n-pass kernel and
+    # the per-neighbour loop on the same weights
+    for code in build_chain(build_field_context(m)):
+        star = extend_code(code)
+        table = CosetTable(star, CosetTable(code))
+        down, up = regularity._neighbour_counts(table.weights, star.unit_syndromes)
+        assert table.down.tolist() == down.tolist() and table.up.tolist() == up.tolist()
+        assert [down.tolist(), up.tolist()] == list(
+            loop_neighbour_counts(star, table.weights.tolist()))
+        assert verify_completely_regular(star, table) == loop_completely_regular(star, table)
+
+
+def test_extended_counts_on_random_stubs():
+    # negative controls: random spanning unit syndromes behind a parity bit,
+    # 275 of the 300 not completely regular; derived counts, reports and
+    # witnesses against the kernel and the loop on a searched table
+    rng = random.Random(19)
+    stubs = irregular = 0
+    while stubs < 300:
+        r = rng.randint(4, 7)
+        units = rng.sample(range(1, 1 << r), rng.randint(r, min(20, (1 << r) - 1)))
+        if gf2_rank(units, r) < r:
+            continue
+        stubs += 1
+        base = stub_code(units, r)
+        star = extended_stub(base)
+        table = CosetTable(star, CosetTable(base))
+        assert table.weights.tolist() == bfs_weights(star.unit_syndromes, r + 1)
+        down, up = regularity._neighbour_counts(table.weights, star.unit_syndromes)
+        assert table.down.tolist() == down.tolist() and table.up.tolist() == up.tolist()
+        rep = verify_completely_regular(star, table)
+        assert rep == loop_completely_regular(star, table)
+        irregular += not rep.completely_regular
+    assert irregular == 275

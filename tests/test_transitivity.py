@@ -34,6 +34,7 @@ from oracles import (
     coset_distributions,
     coset_map_by_all_pairs,
     coset_leaders,
+    generator_rows,
     leader_orbits,
     mat_identity,
     mat_mul,
@@ -92,7 +93,7 @@ def test_det_scaling_sampled_m6(ctx6, chain6):
 
     rng = random.Random(11)
     hamming = chain6[0]
-    rows = hamming.generator_rows
+    rows = generator_rows(hamming)
     group = matrix_closure(gl2_generators(ctx6), ctx6.gu)
     for _ in range(60):
         g = rng.choice(group)
@@ -112,12 +113,12 @@ def test_generators_stabilize_codes(ctx4, chain4, ctx6, chain6):
         top = chain[ctx.u]
         for g in gl2_generators(ctx):
             perm = matrix_to_permutation(ctx, g)
-            for row in top.generator_rows:
+            for row in generator_rows(top):
                 assert contains(top, permute_word(perm, row))
         level1 = chain[1]
         for g in sl2_generators(ctx):
             perm = matrix_to_permutation(ctx, g)
-            for row in level1.generator_rows:
+            for row in generator_rows(level1):
                 assert contains(level1, permute_word(perm, row))
 
 
@@ -125,7 +126,7 @@ def test_frobenius_preserves_hamming(ctx4, chain4):
     hamming = chain4[0]
     perm = frobenius_permutation(ctx4, 1)
     assert sorted(perm) == list(range(15))
-    for row in hamming.generator_rows:
+    for row in generator_rows(hamming):
         assert contains(hamming, permute_word(perm, row))
 
 

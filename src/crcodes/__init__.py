@@ -13,12 +13,10 @@ _LAZY = {
     ),
     "codes": (
         "LinearCode",
-        "build_base_code",
         "build_chain",
         "check_membership",
         "dual_spectrum",
         "extend_code",
-        "load_code",
         "save_code",
     ),
     "regularity": (
@@ -35,8 +33,6 @@ _LAZY = {
     ),
     "transitivity": (
         "certify_transitivity",
-        "conjecture_report",
-        "extended_orbits",
         "orbits_on_cosets",
     ),
     "graphs": (

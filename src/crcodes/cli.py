@@ -44,11 +44,7 @@ from .regularity import (
     verify_mu_identity,
     verify_uniformly_packed,
 )
-from .transitivity import (
-    certify_transitivity,
-    conjecture_report,
-    extended_orbits,
-)
+from .transitivity import certify_transitivity
 
 SCHEMA = "crcodes-report/2"
 SUITES = ("cr", "up", "designs", "duals", "ct", "graph", "cover", "extended")
@@ -105,8 +101,9 @@ class Check:
 
 
 class Workspace:
-    """Caches per-m chains and coset tables (an extended one is doubled from
-    the plain one), and holds the settings every suite reads."""
+    """Caches per-m chains, coset tables (an extended one is doubled from
+    the plain one) and transitivity reports, and holds the settings every
+    suite reads."""
 
     def __init__(self, targets: Optional[Sequence[int]] = None,
                  poly_m: Optional[int] = None, poly_u: Optional[int] = None,
@@ -124,8 +121,16 @@ class Workspace:
         return self._cache[key]
 
     def chain(self, m):
-        return self._get(("chain", m),
-                         lambda: _build_chain(m, self.targets, self.poly_m, self.poly_u))
+        # a bad polynomial or subspace basis is an error in the input, not
+        # in the program
+        def build():
+            try:
+                return build_chain(build_field_context(m, self.poly_m, self.poly_u),
+                                   self.targets)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+
+        return self._get(("chain", m), build)
 
     def code(self, m, i, ext=False):
         if ext:
@@ -136,10 +141,9 @@ class Workspace:
         return self._get(("table", m, i, ext), lambda: CosetTable(
             self.code(m, i, ext), self.table(m, i) if ext else None))
 
-    def ct(self, m, i):
-        return self._get(
-            ("ct", m, i), lambda: certify_transitivity(self.code(m, i), self.table(m, i))
-        )
+    def ct(self, m, i, ext=False):
+        return self._get(("ct", m, i, ext), lambda: certify_transitivity(
+            self.code(m, i, ext), self.table(m, i, ext)))
 
 
 def _verdict(ok) -> str:
@@ -155,14 +159,15 @@ def _distribution_rows(ws: Workspace, m: int, i: int, ext: bool) -> Iterator[Row
 
 def suite_cr(ws: Workspace, m: int) -> Iterator[Row]:
     chain = ws.chain(m)
-    for i, code in enumerate(chain):
-        rep = verify_completely_regular(code, ws.table(m, i))
+    for i in range(len(chain)):
+        table = ws.table(m, i)
+        rep = verify_completely_regular(table)
         expected = cria_array(m, i)
         got = str(rep.array) if rep.array else "not completely regular"
         yield ("cria-array", i, False,
                _verdict(rep.completely_regular and rep.array == expected),
                str(expected), got, rep.witness)
-        mu_rep = verify_mu_identity(ws.table(m, i), expected)
+        mu_rep = verify_mu_identity(table, expected)
         yield ("mu-identity", i, False, _verdict(mu_rep.ok),
                "b_l*mu_l = c_(l+1)*mu_(l+1)", f"mu={mu_rep.mu}", None)
         yield from _distribution_rows(ws, m, i, False)
@@ -220,29 +225,26 @@ def suite_ct(ws: Workspace, m: int) -> Iterator[Row]:
     # the orbits are counted under a subgroup of Aut(C), so reaching rho+1
     # certifies complete transitivity and any larger count decides nothing
     for i in range(m // 2 + 1):
-        rep = ws.ct(m, i)
-        yield ("complete-transitivity", i, False,
-               PASS if rep.certified else UNDETERMINED,
-               f"{rep.rho + 1} orbits", f"{rep.orbit_count} orbits via {rep.group}", None)
-        table = ws.table(m, i, ext=True)
-        part, name = extended_orbits(ws.code(m, i, ext=True), table)
-        yield ("complete-transitivity", i, True,
-               PASS if part.orbit_count == table.rho + 1 else UNDETERMINED,
-               f"{table.rho + 1} orbits", f"{part.orbit_count} orbits via {name}", None)
+        for ext in (False, True):
+            rep = ws.ct(m, i, ext)
+            yield ("complete-transitivity", i, ext,
+                   PASS if rep.certified else UNDETERMINED, f"{rep.rho + 1} orbits",
+                   f"{rep.orbit_count} orbits via {rep.group}", None)
 
 
 def suite_graph(ws: Workspace, m: int) -> Iterator[Row]:
-    # a coset graph is distance-regular with its code's intersection array
+    # a coset graph is distance-regular with its code's intersection array,
+    # and distance-transitive when the code is completely transitive
     for i in range(m // 2 + 1):
         for ext in (False, True):
             code, table = ws.code(m, i, ext), ws.table(m, i, ext)
-            rep = verify_completely_regular(code, table)
+            rep = verify_completely_regular(table)
             expected = extended_cria_array(m, i) if ext else cria_array(m, i)
             want_d = (2 if i == 0 else 4) if ext else (1 if i == 0 else 3)
             ok = (rep.completely_regular and rep.array == expected
                   and table.rho == want_d)
             note = f"D={table.rho} {rep.array}"
-            if not ext and ws.ct(m, i).certified:
+            if ws.ct(m, i, ext).certified:
                 note += " distance-transitive"
             yield ("graph-distance-regular", i, ext, _verdict(ok),
                    f"D={want_d} {expected}", note, rep.witness)
@@ -280,7 +282,7 @@ def suite_extended(ws: Workspace, m: int) -> Iterator[Row]:
         star = ws.code(m, i, ext=True)
         table = ws.table(m, i, ext=True)
         if i == 0:
-            rep = verify_completely_regular(star, table)
+            rep = verify_completely_regular(table)
             ok = rep.completely_regular and rep.array == extended_cria_array(m, 0)
         else:
             ext_rep = verify_extended_array(star, table)
@@ -308,14 +310,10 @@ _SUITE_FN = {
 }
 
 
-def _build_chain(m: int, targets: Optional[Sequence[int]],
-                 poly_m: Optional[int], poly_u: Optional[int]):
-    """The chain the flags ask for; a bad polynomial or subspace basis is an
-    error in the input, not in the program."""
-    try:
-        return build_chain(build_field_context(m, poly_m, poly_u), targets)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _workspace(args, **settings) -> Workspace:
+    """A workspace for the chain that the common flags ask for."""
+    return Workspace(_parse_targets(args.subspace_basis), args.prim_poly_m,
+                     args.prim_poly_u, **settings)
 
 
 def _parse_targets(raw: Optional[str]) -> Optional[List[int]]:
@@ -369,8 +367,7 @@ def cmd_verify(args) -> int:
     if args.exhaustive and (4 not in ms or "cr" not in suites or args.extended):
         raise ConfigError("--exhaustive applies only to the m = 4 membership row of "
                           "the cr suite, which this run does not report")
-    ws = Workspace(_parse_targets(args.subspace_basis), args.prim_poly_m, args.prim_poly_u,
-                   args.seed, args.exhaustive)
+    ws = _workspace(args, seed=args.seed, exhaustive=args.exhaustive)
     t_start = last = time.perf_counter()
     checks: List[Check] = []
     for m in ms:
@@ -411,19 +408,17 @@ def cmd_verify(args) -> int:
 
 def cmd_build(args) -> int:
     _validate_m(args.m, 12)
-    chain = _build_chain(args.m, _parse_targets(args.subspace_basis),
-                         args.prim_poly_m, args.prim_poly_u)
+    ws = _workspace(args)
     picked = _pick_levels(args.levels, args.m // 2)
+    chain = ws.chain(args.m)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for i in picked:
-        code = chain[i]
-        written.extend(save_code(code, str(out_dir / f"code_m{args.m}_i{i}")))
+        written.extend(save_code(chain[i], str(out_dir / f"code_m{args.m}_i{i}")))
         if args.extended:
-            written.extend(
-                save_code(extend_code(code), str(out_dir / f"code_m{args.m}_i{i}_ext"))
-            )
+            written.extend(save_code(ws.code(args.m, i, ext=True),
+                                     str(out_dir / f"code_m{args.m}_i{i}_ext")))
     report = {
         "schema": SCHEMA,
         "command": "build",
@@ -446,14 +441,13 @@ _EXPORT_EXT = {"graph6": "g6", "edge-list": "edges", "json": "json"}
 
 def cmd_export(args) -> int:
     _validate_m(args.m, 8)
-    chain = _build_chain(args.m, _parse_targets(args.subspace_basis),
-                         args.prim_poly_m, args.prim_poly_u)
+    ws = _workspace(args)
     picked = _pick_levels(args.levels, args.m // 2)
+    codes = [ws.code(args.m, i, args.extended) for i in picked]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for i in picked:
-        code = extend_code(chain[i]) if args.extended else chain[i]
+    for i, code in zip(picked, codes):
         graph = build_coset_graph(code)
         suffix = "_ext" if args.extended else ""
         name = f"gamma_m{args.m}_i{i}{suffix}.{_EXPORT_EXT[args.format]}"
@@ -467,11 +461,10 @@ def cmd_export(args) -> int:
 
 def cmd_conjecture(args) -> int:
     _validate_m(args.m, 8)
-    chain = _build_chain(args.m, _parse_targets(args.subspace_basis),
-                         args.prim_poly_m, args.prim_poly_u)
-    reports = conjecture_report(chain, _pick_levels(args.levels, args.m // 2))
+    ws = _workspace(args)
     rows = []
-    for rep in reports:
+    for i in _pick_levels(args.levels, args.m // 2):
+        rep = ws.ct(args.m, i)
         verdict = "certified" if rep.certified else "undetermined"
         rows.append({
             "level": rep.level,

@@ -15,60 +15,25 @@ the code iff its syndrome is 0.  All objects are immutable after construction.
 
 from __future__ import annotations
 
-import os
 from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .field import FieldContext, PRIM_POLYS, build_field_context
-from .gf2 import gf2_nullspace, gf2_rank, gf2_rref, gf2_wht
+from .field import FieldContext
+from .gf2 import gf2_nullspace, gf2_rank, gf2_wht
 
 __all__ = [
-    "ParityCheckMatrix",
     "LinearCode",
     "DualSpectrum",
-    "build_hamming_parity",
-    "build_power_parity",
-    "build_base_code",
     "build_chain",
     "check_membership",
     "extend_code",
     "dual_weights",
     "dual_spectrum",
     "save_code",
-    "load_code",
 ]
-
-
-class ParityCheckMatrix(NamedTuple):
-    """Rows are ints over GF(2); bit p of a row is the entry in column p."""
-
-    rows: Tuple[int, ...]
-    n_cols: int
-
-
-def build_hamming_parity(ctx: FieldContext) -> ParityCheckMatrix:
-    """m x n matrix whose column p is the binary expansion of alpha^p."""
-    rows = [0] * ctx.m
-    for p in range(ctx.n):
-        col = ctx.gm.exp[p]
-        for t in range(ctx.m):
-            if (col >> t) & 1:
-                rows[t] |= 1 << p
-    return ParityCheckMatrix(tuple(rows), ctx.n)
-
-
-def build_power_parity(ctx: FieldContext) -> ParityCheckMatrix:
-    """m x n matrix whose column p is alpha^(p*r); its rank is only u."""
-    rows = [0] * ctx.m
-    for p in range(ctx.n):
-        col = ctx.gm.exp[(p * ctx.r) % ctx.n]
-        for t in range(ctx.m):
-            if (col >> t) & 1:
-                rows[t] |= 1 << p
-    return ParityCheckMatrix(tuple(rows), ctx.n)
 
 
 class LinearCode:
@@ -213,16 +178,6 @@ def check_membership(code: LinearCode, vectors: Iterable[int]) -> bool:
     return agree
 
 
-def build_base_code(ctx: FieldContext) -> LinearCode:
-    """Level-u code: Hamming condition plus quad_sum(v) = 0."""
-    code = LinearCode(ctx, ctx.u, (), ())
-    # the stacked Hamming/power parity pair must cut out the same code
-    stacked = build_hamming_parity(ctx).rows + build_power_parity(ctx).rows
-    if gf2_rref(stacked, ctx.n)[0] != gf2_rref(code.parity_rows, ctx.n)[0]:
-        raise RuntimeError("syndrome construction disagrees with stacked parity")
-    return code
-
-
 def _smallest_weight3_rep(ctx: FieldContext, target: int) -> int:
     """Lexicographically smallest (by sorted support) weight-3 vector with
     field sum 0 and quad_sum equal to target."""
@@ -326,31 +281,3 @@ def save_code(code: LinearCode, path_prefix: str) -> Tuple[str, str]:
             fh.write("".join("1" if (row >> p) & 1 else "0" for p in range(code.length)))
             fh.write("\n")
     return desc_path, pchk_path
-
-
-def load_code(desc_path: str) -> LinearCode:
-    """Rebuild a code from its JSON descriptor, checking the stored rows."""
-    import json
-
-    with open(desc_path, "r", encoding="utf-8") as fh:
-        desc = json.load(fh)
-    ctx = build_field_context(
-        int(desc["m"]), int(desc["poly_m"], 0), int(desc["poly_u"], 0)
-    )
-    code = LinearCode(
-        ctx,
-        int(desc["level"]),
-        [int(t) for t in desc["syndrome_targets"]],
-        [int(v, 0) for v in desc["adjoined_reps"]],
-        extended=bool(desc["extended"]),
-    )
-    if code.dimension != int(desc["dimension"]):
-        raise ValueError("descriptor dimension disagrees with reconstruction")
-    pchk_path = os.path.splitext(desc_path)[0] + ".pchk"
-    if os.path.exists(pchk_path):
-        with open(pchk_path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-        rows = tuple(int(line[::-1], 2) for line in lines)
-        if rows != code.parity_rows:
-            raise ValueError("stored parity rows disagree with reconstruction")
-    return code

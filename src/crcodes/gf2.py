@@ -8,7 +8,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "bit_support",
     "gf2_rref",
     "gf2_rank",
     "gf2_nullspace",
@@ -16,14 +15,6 @@ __all__ = [
     "gf2_linear_map",
     "gf2_wht",
 ]
-
-
-def bit_support(v: int) -> Iterator[int]:
-    """Yield the set bit positions of v in increasing order."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
 
 
 def gf2_rref(rows: Iterable[int], n_cols: int) -> Tuple[List[int], List[int]]:

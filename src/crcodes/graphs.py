@@ -182,7 +182,7 @@ class CoverArrayReport:
 def verify_antipodal_cover_array(code: LinearCode, table: CosetTable) -> CoverArrayReport:
     """For a diameter-3 antipodal cover of a complete graph, the array must
     be (N-1, (r-1)c2, 1; 1, c2, N-1) with the graph's own c2."""
-    dr = verify_completely_regular(code, table)
+    dr = verify_completely_regular(table)
     if not dr.completely_regular or table.rho != 3:
         return CoverArrayReport(False, None, dr.array, 0, 0)
     anti = check_antipodal(table)

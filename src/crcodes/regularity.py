@@ -169,7 +169,7 @@ class RegularityReport:
     witness: Optional[Dict[str, object]] = None
 
 
-def verify_completely_regular(code: LinearCode, table: CosetTable) -> RegularityReport:
+def verify_completely_regular(table: CosetTable) -> RegularityReport:
     """Check constant c_l / b_l over every weight class, read off the
     table's counts.  The witness is the smallest syndrome whose counts
     differ from those of the first coset of its weight."""
@@ -338,7 +338,7 @@ def verify_extended_array(code: LinearCode, table: CosetTable) -> ExtendedArrayR
     """Compare the computed array of an extended code with both printed forms."""
     if not code.extended:
         raise ValueError("code is not extended")
-    rep = verify_completely_regular(code, table)
+    rep = verify_completely_regular(table)
     expected = extended_cria_array(code.ctx.m, code.level)
     variant = extended_array_variant(code.ctx.m, code.level)
     return ExtendedArrayReport(

@@ -16,13 +16,19 @@ support of v, exactly when one linear map of syndromes sends each U[p] to
 U[pi(p)]; r basis pairs give that map, all n pairs check it, and it moves
 every coset at once.  Orbits are the components of the generator maps,
 found by min-label propagation and numbered by their smallest syndrome.
+
+A code is completely transitive when its automorphism group has rho+1
+orbits on its cosets, so reaching rho+1 under a subgroup certifies it.
+``certify_transitivity`` decides plain and extended codes alike: an
+extended code is acted on by its base code's group, each generator fixing
+the parity position, together with the label-addition translations.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +51,10 @@ __all__ = [
     "orbits_on_cosets",
     "translation_permutation",
     "lift_permutation",
-    "extended_orbits",
     "default_acting_group",
     "semilinear_extension",
     "certify_transitivity",
     "conjecture_predicate",
-    "conjecture_report",
 ]
 
 
@@ -148,11 +152,9 @@ def coset_action(perm: Sequence[int], code: LinearCode) -> Optional[np.ndarray]:
 
 
 def orbits_on_cosets(
-    gens: Sequence[Sequence[int]], code: LinearCode, table: Optional[CosetTable] = None
+    gens: Sequence[Sequence[int]], code: LinearCode, table: CosetTable
 ) -> OrbitPartition:
     """Orbit partition of all cosets under the generated permutation group."""
-    if table is None:
-        table = CosetTable(code)
     maps = []
     for gi, perm in enumerate(gens):
         if len(perm) != code.length:
@@ -208,22 +210,23 @@ def lift_permutation(perm: Sequence[int]) -> Tuple[int, ...]:
     return (0,) + tuple(p + 1 for p in perm)
 
 
-def _matrix_perms(ctx: FieldContext, mats: Sequence[Mat2]) -> List[Tuple[int, ...]]:
-    return [matrix_to_permutation(ctx, phi) for phi in mats]
-
-
 @dataclass(frozen=True)
 class ActingGroup:
     name: str
     matrices: Tuple[Mat2, ...]
     semilinear: Tuple[Tuple[int, int], ...] = ()  # (frobenius power, diagonal)
 
-    def permutations(self, ctx: FieldContext) -> List[Tuple[int, ...]]:
-        perms = _matrix_perms(ctx, self.matrices)
+    def permutations(self, ctx: FieldContext, extended: bool = False) -> List[Tuple[int, ...]]:
+        """Generators on the positions, or on the extended positions: there
+        each one fixes the parity position and the translations join."""
+        perms = [matrix_to_permutation(ctx, phi) for phi in self.matrices]
         for k, d in self.semilinear:
             diag = matrix_to_permutation(ctx, Mat2(d, 0, 0, 1))
             perms.append(compose_permutations(diag, frobenius_permutation(ctx, k)))
-        return perms
+        if not extended:
+            return perms
+        translations = [translation_permutation(ctx, 1 << k) for k in range(ctx.m)]
+        return [lift_permutation(p) for p in perms] + translations
 
 
 def _subspace_of(code: LinearCode) -> frozenset:
@@ -294,78 +297,35 @@ def conjecture_predicate(u: int, i: int) -> bool:
     return i in (0, 1, u) or (1 << i) <= u + 1
 
 
-def _fewest_orbits(
-    code: LinearCode,
-    table: CosetTable,
-    base: LinearCode,
-    perms_of: Callable[[ActingGroup], List[Tuple[int, ...]]],
-) -> Tuple[OrbitPartition, str]:
-    """Orbits of code's cosets under perms_of(the default group of base).
+def certify_transitivity(code: LinearCode, table: CosetTable) -> CTReport:
+    """One-sided verdict: certified when some stabilizing subgroup reaches
+    rho+1 orbits; otherwise undetermined with the best orbit count found.
 
-    Strictly between the ends, when that leaves more than rho+1 orbits, the
-    group widened by the compatible label squarings is tried as well and the
-    smaller count kept.  Returns the partition and the group's name.
+    The group is the default group of the code, or for an extended code
+    that of its base code, lifted, with the label-addition translations.
+    Strictly between the ends, when it leaves more than rho+1 orbits, the
+    group widened by the compatible label squarings is tried as well and
+    the smaller count kept.
     """
+    ctx = code.ctx
+    base = code.base if code.extended else code
     group = default_acting_group(base)
-    orbits = orbits_on_cosets(perms_of(group), code, table)
-    name = group.name
-    if orbits.orbit_count > table.rho + 1 and 0 < base.level < base.ctx.u:
+    orbits = orbits_on_cosets(group.permutations(ctx, code.extended), code, table)
+    if orbits.orbit_count > table.rho + 1 and 0 < code.level < ctx.u:
         semi = semilinear_extension(base)
         if semi:
             wider = ActingGroup(group.name + "+frob", group.matrices, semi)
-            candidate = orbits_on_cosets(perms_of(wider), code, table)
+            candidate = orbits_on_cosets(wider.permutations(ctx, code.extended), code, table)
             if candidate.orbit_count < orbits.orbit_count:
-                orbits, name = candidate, wider.name
-    return orbits, name
-
-
-def certify_transitivity(
-    code: LinearCode, table: Optional[CosetTable] = None
-) -> CTReport:
-    """One-sided verdict: certified when some stabilizing subgroup reaches
-    rho+1 orbits; otherwise undetermined with the best orbit count found."""
-    ctx = code.ctx
-    if table is None:
-        table = CosetTable(code)
-    orbits, name = _fewest_orbits(code, table, code, lambda g: g.permutations(ctx))
+                group, orbits = wider, candidate
     return CTReport(
         m=ctx.m,
         level=code.level,
         rho=table.rho,
-        group=name,
+        group=group.name + ("+translations" if code.extended else ""),
         orbit_count=orbits.orbit_count,
         certified=orbits.orbit_count == table.rho + 1,
         predicted=conjecture_predicate(ctx.u, code.level),
         orbit_weights=orbits.orbit_weights,
         orbit_sizes=orbits.orbit_sizes,
     )
-
-
-def extended_orbits(
-    code_star: LinearCode, table: Optional[CosetTable] = None
-) -> Tuple[OrbitPartition, str]:
-    """Orbits of the extended code under lifted base generators plus the
-    label-addition translations."""
-    if not code_star.extended:
-        raise ValueError("code is not extended")
-    base = code_star.base
-    assert base is not None
-    ctx = code_star.ctx
-    if table is None:
-        table = CosetTable(code_star)
-    translations = [translation_permutation(ctx, 1 << k) for k in range(ctx.m)]
-    orbits, name = _fewest_orbits(
-        code_star, table, base,
-        lambda g: [lift_permutation(p) for p in g.permutations(ctx)] + translations,
-    )
-    return orbits, name + "+translations"
-
-
-def conjecture_report(
-    chain: Sequence[LinearCode], levels: Optional[Sequence[int]] = None
-) -> List[CTReport]:
-    """Per-level transitivity verdicts next to the predicted levels."""
-    if chain[0].ctx.m > 8:
-        raise ValueError("transitivity survey supported for m <= 8")
-    picked = range(len(chain)) if levels is None else levels
-    return [certify_transitivity(chain[i]) for i in picked]

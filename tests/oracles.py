@@ -16,25 +16,100 @@ tables rather than looked up position by position, and membership vectors
 are checked in numpy blocks, one table pass for all three sums.
 The field embedding, syndrome, membership, generator, codeword and
 parity-matrix helpers are test-only views of a field or code: the package
-reads a code through its unit syndromes and parity rows alone.  The counts,
+reads a code through its unit syndromes and parity rows alone.  The
+stacked Hamming and power parity matrices check that the syndrome
+construction cuts out the base code, and ``load_code`` reads back the
+descriptors that ``crcodes build`` writes.  The counts,
 cyclicity, matrix-group and weight-2 helpers back claims that the tests
 check directly.
 """
 
+import json
+import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from crcodes.codes import ParityCheckMatrix
-from crcodes.field import QuadPair
-from crcodes.gf2 import bit_support, gf2_linear_map, gf2_nullspace, gf2_rank, gf2_span
+from crcodes.codes import LinearCode
+from crcodes.field import QuadPair, build_field_context
+from crcodes.gf2 import gf2_linear_map, gf2_nullspace, gf2_rank, gf2_rref, gf2_span
 from crcodes.graphs import CoverReport, FoldedGraph, build_coset_graph
 from crcodes.regularity import CosetTable, DesignReport, IntersectionArray, RegularityReport
 from crcodes.transitivity import Mat2, OrbitPartition
 
+
+def bit_support(v):
+    """Yield the set bit positions of v in increasing order."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+class ParityCheckMatrix(NamedTuple):
+    """Rows are ints over GF(2); bit p of a row is the entry in column p."""
+
+    rows: Tuple[int, ...]
+    n_cols: int
+
+
+def _columns_to_rows(columns, height):
+    """The matrix with the given m-bit columns, as rows."""
+    rows = [0] * height
+    for p, col in enumerate(columns):
+        for t in bit_support(col):
+            rows[t] |= 1 << p
+    return ParityCheckMatrix(tuple(rows), len(columns))
+
+
+def build_hamming_parity(ctx):
+    """m x n matrix whose column p is the binary expansion of alpha^p."""
+    return _columns_to_rows([ctx.gm.exp[p] for p in range(ctx.n)], ctx.m)
+
+
+def build_power_parity(ctx):
+    """m x n matrix whose column p is alpha^(p*r); its rank is only u."""
+    return _columns_to_rows([ctx.gm.exp[(p * ctx.r) % ctx.n] for p in range(ctx.n)], ctx.m)
+
+
+def build_base_code(ctx):
+    """Level-u code: Hamming condition plus quad_sum(v) = 0, checked against
+    the stacked Hamming and power parity rows, which cut out the same code."""
+    code = LinearCode(ctx, ctx.u, (), ())
+    stacked = build_hamming_parity(ctx).rows + build_power_parity(ctx).rows
+    if gf2_rref(stacked, ctx.n)[0] != gf2_rref(code.parity_rows, ctx.n)[0]:
+        raise RuntimeError("syndrome construction disagrees with stacked parity")
+    return code
+
+
+def load_code(desc_path):
+    """Rebuild a code from its JSON descriptor, checking the stored rows."""
+    with open(desc_path, "r", encoding="utf-8") as fh:
+        desc = json.load(fh)
+    ctx = build_field_context(
+        int(desc["m"]), int(desc["poly_m"], 0), int(desc["poly_u"], 0)
+    )
+    code = LinearCode(
+        ctx,
+        int(desc["level"]),
+        [int(t) for t in desc["syndrome_targets"]],
+        [int(v, 0) for v in desc["adjoined_reps"]],
+        extended=bool(desc["extended"]),
+    )
+    if code.dimension != int(desc["dimension"]):
+        raise ValueError("descriptor dimension disagrees with reconstruction")
+    pchk_path = os.path.splitext(desc_path)[0] + ".pchk"
+    if os.path.exists(pchk_path):
+        with open(pchk_path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+        rows = tuple(int(line[::-1], 2) for line in lines)
+        if rows != code.parity_rows:
+            raise ValueError("stored parity rows disagree with reconstruction")
+    return code
 
 def embed_subfield(ctx, a):
     """The GF(2^m) element of the GF(2^u) value a: the sum of zeta^k over

@@ -33,7 +33,7 @@ from crcodes.regularity import (
     verify_extended_array,
     verify_mu_identity,
 )
-from crcodes.transitivity import certify_transitivity, conjecture_report, extended_orbits
+from crcodes.transitivity import certify_transitivity
 from oracles import (
     codewords,
     contains,
@@ -87,14 +87,13 @@ def test_criterion_01_membership_equivalence(ctx4, chain4, ctx6, chain6):
            problems, elapsed)
 
 
-def test_criterion_02_intersection_arrays(chain4, tables4, chain6, tables6):
+def test_criterion_02_intersection_arrays(tables4, tables6):
     t0 = time.perf_counter()
     problems = []
-    cases = [(4, 1, chain4, tables4), (4, 2, chain4, tables4),
-             (6, 1, chain6, tables6), (6, 2, chain6, tables6),
-             (6, 3, chain6, tables6)]
-    for m, i, chain, tables in cases:
-        rep = verify_completely_regular(chain[i], tables[i])
+    cases = [(4, 1, tables4), (4, 2, tables4),
+             (6, 1, tables6), (6, 2, tables6), (6, 3, tables6)]
+    for m, i, tables in cases:
+        rep = verify_completely_regular(tables[i])
         want = cria_array(m, i)
         expected_literal = (
             ((1 << m) - 1, (1 << m) - (1 << (m - i)), 1),
@@ -246,10 +245,11 @@ def test_criterion_08_complete_transitivity(chain4, tables4, chain6, tables6):
             problems.append(f"m={m} base: {base.orbit_count} orbits")
         for i in (1, u):
             star = extend_code(chain[i])
-            part, name = extended_orbits(star, CosetTable(star))
-            if part.orbit_count != 5:
-                problems.append(f"m={m} i={i} extended: {part.orbit_count} via {name}")
-    for rep in conjecture_report(chain6):
+            rep = certify_transitivity(star, CosetTable(star))
+            if not (rep.orbit_count == 5 and rep.group.endswith("+translations")):
+                problems.append(f"m={m} i={i} extended: {rep.orbit_count} via {rep.group}")
+    for code, table in zip(chain6, tables6):
+        rep = certify_transitivity(code, table)
         if not rep.certified:
             problems.append(f"m=6 i={rep.level} uncertified ({rep.orbit_count} orbits)")
     elapsed = time.perf_counter() - t0
@@ -271,12 +271,12 @@ def test_criterion_09_graph_suite(chain4, chain6):
                 tables[i, ext] = CosetTable(codes[i, ext])
         for i in range(u + 1):
             # a coset graph is distance-regular with its code's array
-            rep = verify_completely_regular(codes[i, False], tables[i, False])
+            rep = verify_completely_regular(tables[i, False])
             diameter = tables[i, False].rho
             if not (rep.completely_regular and rep.array == cria_array(m, i)
                     and diameter == (1 if i == 0 else 3)):
                 problems.append(f"m={m} i={i}: D={diameter} array={rep.array}")
-            rep_ext = verify_completely_regular(codes[i, True], tables[i, True])
+            rep_ext = verify_completely_regular(tables[i, True])
             if i > 0 and not (rep_ext.completely_regular and tables[i, True].rho == 4
                               and rep_ext.array == extended_cria_array(m, i)):
                 problems.append(f"m={m} i={i} extended: D={tables[i, True].rho}")

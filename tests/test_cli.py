@@ -11,10 +11,9 @@ from pathlib import Path
 import pytest
 
 from crcodes import cli, regularity
-from crcodes.codes import load_code
 from crcodes.graphs import build_coset_graph
 from crcodes.regularity import IntersectionArray
-from oracles import parse_graph6
+from oracles import load_code, parse_graph6
 
 
 def run_cli(capsys, argv):
@@ -135,6 +134,7 @@ def test_verify_failure_carries_witness(capsys, monkeypatch):
         ["verify", "--m", "8", "--suite", "duals", "--exhaustive"],
         ["verify", "--m", "4", "--suite", "cr", "--exhaustive", "--extended"],
         ["verify", "--subspace-basis", "01,01"],
+        ["conjecture", "--m", "10"],
     ],
 )
 def test_config_errors_exit_3(capsys, argv):
@@ -362,6 +362,25 @@ def test_workspace_counts_each_plain_table_once(capsys, monkeypatch):
     code, report = run_json(capsys, ["verify", "--m", "6"])
     assert code == 0 and report["summary"]["failed"] == 0
     assert sorted(counted) == [1 << 6, 1 << 7, 1 << 8, 1 << 9]
+
+
+def test_workspace_certifies_each_code_once(capsys, monkeypatch):
+    # the ct rows and the graph rows' distance-transitive notes read one
+    # cached report per level and extension
+    calls = []
+    real = cli.certify_transitivity
+
+    def counted(code, table):
+        calls.append((code.level, code.extended))
+        return real(code, table)
+
+    monkeypatch.setattr(cli, "certify_transitivity", counted)
+    code, report = run_json(capsys, ["verify", "--m", "6", "--suite", "ct,graph"])
+    assert code == 0 and report["summary"]["failed"] == 0
+    assert sorted(calls) == [(i, ext) for i in range(4) for ext in (False, True)]
+    notes = [r for r in report["results"] if r["claim"] == "graph-distance-regular"]
+    assert len(notes) == 8
+    assert all(r["computed"].endswith(" distance-transitive") for r in notes)
 
 
 def test_verify_m8_designs_and_membership(capsys):

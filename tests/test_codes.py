@@ -8,21 +8,20 @@ import pytest
 
 from crcodes.field import build_field_context
 from crcodes.codes import (
-    build_base_code,
     build_chain,
-    build_hamming_parity,
-    build_power_parity,
     check_membership,
     dual_spectrum,
     dual_weights,
     extend_code,
-    load_code,
     save_code,
     _support_xor,
 )
 from crcodes import codes
 from crcodes.gf2 import gf2_rank, gf2_span
 from oracles import (
+    build_base_code,
+    build_hamming_parity,
+    build_power_parity,
     codewords,
     contains,
     count_codes_at_level,
@@ -30,6 +29,7 @@ from oracles import (
     dual_enumerate,
     dual_weight_table,
     generator_rows,
+    load_code,
     matrix_rank,
     matrix_syndrome,
     membership_by_vectors,

@@ -112,24 +112,24 @@ def test_vertex_cap():
         build_coset_graph(Shim())
 
 
-def test_hamming_graph_is_complete(chain4, tables4, dists4):
-    rep = verify_completely_regular(chain4[0], tables4[0])
+def test_hamming_graph_is_complete(tables4, dists4):
+    rep = verify_completely_regular(tables4[0])
     assert rep.completely_regular and tables4[0].rho == 1
     assert rep.array == cria_array(4, 0)
     assert (dists4[0][~np.eye(16, dtype=bool)] == 1).all()
 
 
-def test_distance_regular_m4(chain4, tables4):
+def test_distance_regular_m4(tables4):
     for i in (1, 2):
-        rep = verify_completely_regular(chain4[i], tables4[i])
+        rep = verify_completely_regular(tables4[i])
         assert rep.completely_regular
         assert tables4[i].rho == 3
         assert rep.array == cria_array(4, i)
 
 
-def test_distance_regular_m6(chain6, tables6):
-    for i, (code, table) in enumerate(zip(chain6, tables6)):
-        rep = verify_completely_regular(code, table)
+def test_distance_regular_m6(tables6):
+    for i, table in enumerate(tables6):
+        rep = verify_completely_regular(table)
         assert rep.completely_regular
         assert table.rho == (1 if i == 0 else 3)
         assert rep.array == cria_array(6, i)
@@ -139,7 +139,7 @@ def test_extended_graphs_m4(chain4):
     for i, code in enumerate(chain4):
         star = extend_code(code)
         table = CosetTable(star)
-        rep = verify_completely_regular(star, table)
+        rep = verify_completely_regular(table)
         assert rep.completely_regular
         assert table.rho == (2 if i == 0 else 4)
         assert rep.array == extended_cria_array(4, i)
@@ -154,7 +154,7 @@ def test_extended_graphs_m4(chain4):
 def test_extended_graph_m6_deepest(chain6):
     star = extend_code(chain6[3])
     table = CosetTable(star)
-    rep = verify_completely_regular(star, table)
+    rep = verify_completely_regular(table)
     assert rep.completely_regular and table.rho == 4
     assert rep.array == extended_cria_array(6, 3)
     anti = check_antipodal(table)
@@ -169,12 +169,12 @@ def plain_and_extended(chain):
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_dense_oracle_agrees(request, m):
-    for code, table, g in plain_and_extended(request.getfixturevalue(f"chain{m}")):
+    for _, table, g in plain_and_extended(request.getfixturevalue(f"chain{m}")):
         dist, adj = dense_distances(g)
         v = np.arange(g.vertex_count)
         assert (dist == table.weights[v[:, None] ^ v[None, :]]).all()
         assert table.rho == dist.max()
-        array = verify_completely_regular(code, table).array
+        array = verify_completely_regular(table).array
         assert array == dense_array(dist, adj) is not None
         anti = check_antipodal(table)
         if anti.applicable:
@@ -184,20 +184,20 @@ def test_dense_oracle_agrees(request, m):
 @pytest.mark.parametrize("m", [4, 6])
 def test_networkx_intersection_arrays(request, m):
     nx = pytest.importorskip("networkx")
-    for code, table, g in plain_and_extended(request.getfixturevalue(f"chain{m}")):
+    for _, table, g in plain_and_extended(request.getfixturevalue(f"chain{m}")):
         rows = parse_graph6(export_graph(g, "graph6"))
         other = nx.Graph()
         other.add_nodes_from(range(len(rows)))
         other.add_edges_from((v, w) for v, row in enumerate(rows) for w in row)
         b, c = nx.intersection_array(other)
-        array = verify_completely_regular(code, table).array
+        array = verify_completely_regular(table).array
         assert array == IntersectionArray(tuple(b), tuple(c))
 
 
 def test_cayley_non_regular_witnessed():
     code = cayley(3, (1, 2, 3, 4))
     table = CosetTable(code)
-    rep = verify_completely_regular(code, table)
+    rep = verify_completely_regular(table)
     assert not rep.completely_regular
     assert rep.witness == {
         "weight": 1, "coset_a": 1, "coset_b": 4, "counts_a": (1, 1), "counts_b": (1, 3),
@@ -213,7 +213,7 @@ def test_cayley_non_antipodal_witnessed():
     # distance 3 from 0 (weights 3 and 4 in F_2^6) and 0 are 36, no subgroup
     code = cayley(6, (1, 2, 4, 8, 16, 32, 63))
     table = CosetTable(code)
-    rep = verify_completely_regular(code, table)
+    rep = verify_completely_regular(table)
     assert rep.completely_regular
     assert rep.array == IntersectionArray((7, 6, 5), (1, 2, 3))
     anti = check_antipodal(table)

@@ -133,7 +133,7 @@ def test_distributions_uniform_matches_per_syndrome_oracle(m, request):
 
 def test_completely_regular_and_arrays_m4(chain4, tables4):
     for i, (code, table) in enumerate(zip(chain4, tables4)):
-        rep = verify_completely_regular(code, table)
+        rep = verify_completely_regular(table)
         assert rep.completely_regular
         assert rep.array == cria_array(4, i)
         assert distributions_uniform(code, table) is True
@@ -141,7 +141,7 @@ def test_completely_regular_and_arrays_m4(chain4, tables4):
 
 def test_completely_regular_and_arrays_m6(chain6, tables6):
     for i, (code, table) in enumerate(zip(chain6, tables6)):
-        rep = verify_completely_regular(code, table)
+        rep = verify_completely_regular(table)
         assert rep.completely_regular
         assert rep.array == cria_array(6, i)
         assert distributions_uniform(code, table) is True
@@ -152,7 +152,7 @@ def test_counts_match_loop_oracle(m, request):
     for code in request.getfixturevalue(f"chain{m}"):
         for c in (code, extend_code(code)):
             table = CosetTable(c)
-            assert verify_completely_regular(c, table) == loop_completely_regular(c, table)
+            assert verify_completely_regular(table) == loop_completely_regular(c, table)
 
 
 def test_array_formulas():
@@ -199,16 +199,16 @@ def test_extended_arrays_m6(chain6):
 def test_extended_hamming_array_m4(chain4):
     star = extend_code(chain4[0])
     table = CosetTable(star)
-    rep = verify_completely_regular(star, table)
+    rep = verify_completely_regular(table)
     assert rep.completely_regular
     assert rep.array == extended_cria_array(4, 0)
     assert table.rho == 2
 
 
-def test_mu_identity(chain4, tables4, chain6, tables6):
-    for chain, tables, m in ((chain4, tables4, 4), (chain6, tables6, 6)):
-        for i, (code, table) in enumerate(zip(chain, tables)):
-            rep = verify_completely_regular(code, table)
+def test_mu_identity(tables4, tables6):
+    for tables, m in ((tables4, 4), (tables6, 6)):
+        for i, table in enumerate(tables):
+            rep = verify_completely_regular(table)
             mu_rep = verify_mu_identity(table, rep.array)
             assert mu_rep.ok, (m, i, mu_rep.products)
 
@@ -359,7 +359,7 @@ def test_regularity_witness_on_non_cr_code(ctx4):
     # the verifier must say the code is not completely regular and name two cosets
     shim = non_cr_shim(ctx4)
     table = CosetTable(shim)
-    rep = verify_completely_regular(shim, table)
+    rep = verify_completely_regular(table)
     assert not rep.completely_regular
     assert rep.array is None
     assert rep.witness == {
@@ -384,7 +384,7 @@ def test_regularity_witness_on_non_cr_extended_code(ctx4):
     star = extended_stub(shim)
     table = CosetTable(star, CosetTable(shim))
     assert table.weights.tolist() == bfs_weights(star.unit_syndromes, 6)
-    rep = verify_completely_regular(star, table)
+    rep = verify_completely_regular(table)
     assert not rep.completely_regular
     assert rep.array is None
     assert rep.witness == {
@@ -474,7 +474,7 @@ def test_extended_counts_equal_kernel_and_loop(m):
         assert table.down.tolist() == down.tolist() and table.up.tolist() == up.tolist()
         assert [down.tolist(), up.tolist()] == list(
             loop_neighbour_counts(star, table.weights.tolist()))
-        assert verify_completely_regular(star, table) == loop_completely_regular(star, table)
+        assert verify_completely_regular(table) == loop_completely_regular(star, table)
 
 
 def test_extended_counts_on_random_stubs():
@@ -495,7 +495,7 @@ def test_extended_counts_on_random_stubs():
         assert table.weights.tolist() == bfs_weights(star.unit_syndromes, r + 1)
         down, up = regularity._neighbour_counts(table.weights, star.unit_syndromes)
         assert table.down.tolist() == down.tolist() and table.up.tolist() == up.tolist()
-        rep = verify_completely_regular(star, table)
+        rep = verify_completely_regular(table)
         assert rep == loop_completely_regular(star, table)
         irregular += not rep.completely_regular
     assert irregular == 275

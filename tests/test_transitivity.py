@@ -1,10 +1,12 @@
 """Matrix and translation actions, orbit counts, transitivity verdicts."""
 
 import itertools
+import json
 import random
 
 import pytest
 
+from crcodes import cli
 from crcodes.codes import build_chain, extend_code
 from crcodes.field import build_field_context
 from crcodes.regularity import CosetTable
@@ -14,10 +16,8 @@ from crcodes.transitivity import (
     certify_transitivity,
     compose_permutations,
     conjecture_predicate,
-    conjecture_report,
     coset_action,
     default_acting_group,
-    extended_orbits,
     frobenius_permutation,
     gl2_generators,
     lift_permutation,
@@ -277,24 +277,26 @@ def test_lift_permutation(ctx4):
     assert sorted(lifted) == list(range(16))
 
 
+def _extended_reports(chain):
+    reports = []
+    for code in chain:
+        star = extend_code(code)
+        reports.append(certify_transitivity(star, CosetTable(star)))
+    return reports
+
+
 def test_extended_orbit_counts_m4(chain4):
-    results = {}
-    for i, code in enumerate(chain4):
-        part, name = extended_orbits(extend_code(code))
-        results[i] = (part.orbit_count, name)
+    results = [(r.orbit_count, r.group) for r in _extended_reports(chain4)]
     assert results[0] == (3, "GL2+translations")
     assert results[1] == (5, "SL2+translations")
     assert results[2] == (5, "GL2+translations")
 
 
 def test_extended_orbit_counts_m6(chain6):
-    counts = {}
-    for i, code in enumerate(chain6):
-        part, name = extended_orbits(extend_code(code))
-        counts[i] = part.orbit_count
-        if i == 2:
-            assert "frob" in name
-    assert counts == {0: 3, 1: 5, 2: 5, 3: 5}
+    reports = _extended_reports(chain6)
+    assert [r.orbit_count for r in reports] == [3, 5, 5, 5]
+    assert all(r.certified for r in reports)
+    assert reports[2].group == "SL2+frob+translations"
 
 
 def test_conjecture_predicate():
@@ -305,25 +307,27 @@ def test_conjecture_predicate():
     assert not conjecture_predicate(4, 3)  # 8 > 5
 
 
-def test_conjecture_report_m4_m6(chain4, chain6):
-    for m, chain in ((4, chain4), (6, chain6)):
-        reports = conjecture_report(chain)
-        assert all(r.certified for r in reports)
-        assert all(r.predicted for r in reports)
-        assert [r.level for r in reports] == list(range(m // 2 + 1))
+def _conjecture_rows(capsys, m):
+    assert cli.main(["conjecture", "--m", str(m), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
 
 
-def test_conjecture_report_m8():
-    reports = conjecture_report(build_chain(build_field_context(8)))
-    by_level = {r.level: r for r in reports}
-    assert by_level[0].certified and by_level[1].certified and by_level[4].certified
-    assert by_level[2].predicted and not by_level[3].predicted
+def test_conjecture_report_m4_m6(capsys):
+    for m in (4, 6):
+        rows = _conjecture_rows(capsys, m)
+        assert all(r["verdict"] == "certified" for r in rows)
+        assert all(r["predicted"] for r in rows)
+        assert [r["level"] for r in rows] == list(range(m // 2 + 1))
+
+
+def test_conjecture_report_m8(capsys):
+    by_level = {r["level"]: r for r in _conjecture_rows(capsys, 8)}
+    assert all(by_level[i]["verdict"] == "certified" for i in (0, 1, 4))
+    assert by_level[2]["predicted"] and not by_level[3]["predicted"]
     # levels 2 and 3 of the canonical chain stay undetermined here; their
     # orbit counts are recorded, not asserted against any claim
     for i in (2, 3):
-        assert by_level[i].orbit_count >= by_level[i].rho + 1
-    with pytest.raises(ValueError):
-        conjecture_report(build_chain(build_field_context(10)))
+        assert by_level[i]["orbit_count"] >= by_level[i]["rho"] + 1
 
 
 def test_m8_level2_certifies_with_subfield_aligned_targets():
@@ -331,7 +335,7 @@ def test_m8_level2_certifies_with_subfield_aligned_targets():
     # multiplicative stabilizer is nontrivial and merges the deep cosets
     ctx = build_field_context(8)
     chain = build_chain(ctx, syndrome_targets=[1, 6, 2, 8])
-    rep = certify_transitivity(chain[2])
+    rep = certify_transitivity(chain[2], CosetTable(chain[2]))
     assert rep.certified
     assert rep.group == "SL2+diag"
     assert rep.orbit_count == 4
@@ -339,8 +343,8 @@ def test_m8_level2_certifies_with_subfield_aligned_targets():
 
 def _all_generators(ctx, code):
     """(code, generators) for the code and its extension, as
-    certify_transitivity and extended_orbits build them, with the group
-    widened by label squarings wherever they fit."""
+    certify_transitivity builds them, with the group widened by label
+    squarings wherever they fit."""
     translations = [translation_permutation(ctx, 1 << k) for k in range(ctx.m)]
     for perms in _generator_sets(ctx, code).values():
         yield code, perms
@@ -367,7 +371,7 @@ def test_transposition_does_not_stabilize(m, request):
             assert coset_action(swap, c) is None
             assert coset_map_by_all_pairs(swap, c) is None
             with pytest.raises(ValueError, match="generator 1 does not stabilize"):
-                orbits_on_cosets([tuple(range(c.length)), swap], c)
+                orbits_on_cosets([tuple(range(c.length)), swap], c, CosetTable(c))
 
 
 def test_matrix_permutations_match_position_loop_m4(ctx4):

@@ -23,14 +23,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import build_chain, check_membership, dual_spectrum, extend_code, save_code
 from .field import build_field_context
-from .graphs import (
-    build_coset_graph,
-    check_antipodal,
-    export_graph,
-    fold,
-    verify_cover,
-    verify_antipodal_cover_array,
-)
 from .regularity import (
     CosetTable,
     check_design,
@@ -233,6 +225,7 @@ def suite_ct(ws: Workspace, m: int) -> Iterator[Row]:
 
 
 def suite_graph(ws: Workspace, m: int) -> Iterator[Row]:
+    from .graphs import check_antipodal, fold  # loaded only where a graph path runs
     # a coset graph is distance-regular with its code's intersection array,
     # and distance-transitive when the code is completely transitive
     for i in range(m // 2 + 1):
@@ -260,6 +253,7 @@ def suite_graph(ws: Workspace, m: int) -> Iterator[Row]:
 
 
 def suite_cover(ws: Workspace, m: int) -> Iterator[Row]:
+    from .graphs import verify_antipodal_cover_array, verify_cover
     u = m // 2
     for ext in (False, True):
         for i in range(1, u + 1):
@@ -440,6 +434,7 @@ _EXPORT_EXT = {"graph6": "g6", "edge-list": "edges", "json": "json"}
 
 
 def cmd_export(args) -> int:
+    from .graphs import build_coset_graph, export_graph
     _validate_m(args.m, 8)
     ws = _workspace(args)
     picked = _pick_levels(args.levels, args.m // 2)

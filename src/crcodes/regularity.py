@@ -11,8 +11,8 @@ Complete regularity, the coset count identity and uniform packing read
 nothing else.  Coset weight distributions are constant on each weight class
 exactly when, for every dual weight j, the Walsh-Hadamard transform N_j of
 the indicator of the weight-j dual words is.
-Design checks read block counts off one histogram of the pair syndromes
-U[a] ^ U[b], without listing any codeword.
+Design checks read how many pairs of unit syndromes XOR to each s off the
+transform of h^2, h = WHT(1_U), without listing any pair or codeword.
 """
 
 from __future__ import annotations
@@ -280,41 +280,43 @@ def check_design(code: LinearCode) -> DesignReport:
     """Do the minimum-weight words form a design?  Read off pair syndromes.
 
     With U the unit syndromes, cnt[s] counts the pairs a < b with
-    U[a] ^ U[b] = s.  When U is nonzero and distinct, the pairs with one
+    U[a] ^ U[b] = s: the XOR autocorrelation WHT(WHT(1_U)^2) / 2^r of 1_U
+    is 2 cnt off 0.  When U is nonzero and distinct, the pairs with one
     syndrome are disjoint, so:
 
     * unextended code, weight-3 words as a 1-design: a word through point p
       is a pair with syndrome U[p], so cnt[U[p]] blocks pass through p;
     * extended code, weight-4 words as a 2-design: a word is two pairs with
       equal syndrome, met once for each of its 3 splits, so there are
-      sum C(cnt, 2) / 3 blocks and cnt[s_ab] - 1 of them pass through {a, b}.
+      sum C(cnt, 2) / 3 blocks and cnt[U[a] ^ U[b]] - 1 of them pass
+      through {a, b}: lambda for all when every nonzero cnt is lambda + 1.
 
-    The witness is the first point or pair whose count differs from lambda.
+    The witness is the first point, or pair in row-major order (scanned
+    only on failure), whose count differs from lambda.
     """
     units = np.asarray(code.unit_syndromes, dtype=np.int64)
-    n = code.length
-    if units.min() <= 0 or len(np.unique(units)) != n:
+    n, width = code.length, code.syndrome_width
+    if units.min() <= 0 or len(set(code.unit_syndromes)) != n:
         raise ValueError("design check needs distinct nonzero unit syndromes")
-    a, b = np.triu_indices(n, 1)
-    pair_syn = units[a] ^ units[b]
-    cnt = np.bincount(pair_syn, minlength=int(units.max()) + 1)
-    if code.extended:
-        block_weight, strength = 4, 2
-        blocks = int((cnt * (cnt - 1) // 2).sum()) // 3
-        through = cnt[pair_syn] - 1
-    else:
-        block_weight, strength = 3, 1
-        through = cnt[units]
-        blocks = int(through.sum()) // 3
+    spectrum = gf2_wht(np.bincount(units, minlength=1 << width))
+    cnt = gf2_wht(spectrum * spectrum) >> (width + 1)
+    cnt[0] = 0
+    block_weight, strength = (4, 2) if code.extended else (3, 1)
+    blocks = int((cnt * (cnt - 1) // 2 if code.extended else cnt[units]).sum()) // 3
     if blocks == 0:
         return DesignReport(n, block_weight, strength, 0, None, False)
     lam = blocks * comb(block_weight, strength) // comb(n, strength)
-    off = np.flatnonzero(through != lam)
-    if len(off):
-        k = int(off[0])
-        witness = (int(a[k]), int(b[k])) if code.extended else (k,)
-        return DesignReport(n, block_weight, strength, blocks, lam, False, witness)
-    return DesignReport(n, block_weight, strength, blocks, lam, True)
+    witness = None
+    if not code.extended:
+        off = np.flatnonzero(cnt[units] != lam)
+        witness = (int(off[0]),) if len(off) else None
+    elif (cnt[cnt > 0] != lam + 1).any():
+        for a in range(n - 1):
+            off = np.flatnonzero(cnt[units[a] ^ units[a + 1:]] != lam + 1)
+            if len(off):
+                witness = (a, a + 1 + int(off[0]))
+                break
+    return DesignReport(n, block_weight, strength, blocks, lam, witness is None, witness)
 
 
 def verify_extension_condition(code: LinearCode) -> Optional[bool]:

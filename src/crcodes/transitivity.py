@@ -13,9 +13,11 @@ where the linear stabilizer alone leaves too many orbits.
 
 A permutation pi stabilizes C, the kernel of v -> XOR of U[p] over the
 support of v, exactly when one linear map of syndromes sends each U[p] to
-U[pi(p)]; r basis pairs give that map, all n pairs check it, and it moves
-every coset at once.  Orbits are the components of the generator maps,
-found by min-label propagation and numbered by their smallest syndrome.
+U[pi(p)], and it moves every coset at once.  One basis solve per code
+gives every syndrome's coordinates in r independent unit syndromes U[b];
+a generator's map reads them in the U[pi(b)], and all n pairs check it.
+Orbits are the components of the generator maps, found by min-label
+propagation and numbered by their smallest syndrome.
 
 A code is completely transitive when its automorphism group has rho+1
 orbits on its cosets, so reaching rho+1 under a subgroup certifies it.
@@ -26,6 +28,7 @@ the parity position, together with the label-addition translations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -86,6 +89,7 @@ def gl2_generators(ctx: FieldContext) -> List[Mat2]:
     return [Mat2(1, 1, 0, 1), Mat2(1, 0, g, 1), Mat2(g, 0, 0, 1)]
 
 
+@functools.lru_cache(maxsize=8)
 def _pair_tables(ctx: FieldContext) -> Tuple[np.ndarray, ...]:
     """Subfield products mul[a, b], positions pos[g1, g2] and position labels."""
     exp, log = np.array(ctx.gu.exp * 2), np.array(ctx.gu.log)
@@ -120,35 +124,45 @@ def compose_permutations(outer: Sequence[int], inner: Sequence[int]) -> Tuple[in
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    class_of: Tuple[int, ...]
+    class_of: np.ndarray  # orbit number of every syndrome
     orbit_count: int
     orbit_weights: Tuple[int, ...]
     orbit_sizes: Tuple[int, ...]
 
 
-def _unit_basis(code: LinearCode) -> List[int]:
-    """The first r positions, greedily, whose unit syndromes are independent."""
-    rows, picked = [], []  # rows: reduced, leading bits distinct and descending
+@functools.lru_cache(maxsize=1)
+def _unit_coordinates(code: LinearCode) -> Tuple[List[int], np.ndarray, Optional[np.ndarray]]:
+    """The first r positions, greedily, whose unit syndromes U[b] are
+    independent, all of U, and the coordinates of every syndrome in the
+    U[b]: one solve, kept for the code whose generators are mapped next."""
+    rows, basis = [], []  # rows: reduced, leading bits distinct and descending
     for p, s in enumerate(code.unit_syndromes):
         for row in rows:
             s = min(s, s ^ row)
         if s:
             rows = sorted(rows + [s], reverse=True)
-            picked.append(p)
-            if len(picked) == code.syndrome_width:
+            basis.append(p)
+            if len(basis) == code.syndrome_width:
                 break
-    return picked
+    pairs = ((code.unit_syndromes[b], 1 << k) for k, b in enumerate(basis))
+    coords = gf2_linear_map(pairs, code.syndrome_width, code.syndrome_width)
+    return basis, np.array(code.unit_syndromes), coords
 
 
 def coset_action(perm: Sequence[int], code: LinearCode) -> Optional[np.ndarray]:
     """Image of every syndrome under the coset map of perm, or None when
-    perm does not stabilize the code: the map fixed on the r independent
-    unit syndromes of _unit_basis must send every U[p] to U[perm[p]]."""
-    units = code.unit_syndromes
-    pairs = ((units[p], units[perm[p]]) for p in _unit_basis(code))
-    image = gf2_linear_map(pairs, code.syndrome_width, code.syndrome_width)
-    u = np.array(units)
-    return None if image is None or (image[u] != u[np.array(perm)]).any() else image
+    perm does not stabilize the code: the map takes each syndrome's
+    coordinates in the U[b] to the U[perm[b]], and must send every U[p] to
+    U[perm[p]]."""
+    basis, units, coords = _unit_coordinates(code)
+    if coords is None:
+        return None
+    target = units[np.asarray(perm)]
+    span = np.zeros(len(coords), dtype=np.int64)
+    for k, b in enumerate(basis):
+        span[1 << k:2 << k] = span[:1 << k] ^ target[b]
+    image = span[coords]
+    return None if (image[units] != target).any() else image
 
 
 def orbits_on_cosets(
@@ -180,7 +194,7 @@ def orbits_on_cosets(
     smallest = np.flatnonzero(label == np.arange(len(label)))
     class_of = np.searchsorted(smallest, label)
     return OrbitPartition(
-        tuple(class_of.tolist()),
+        class_of,
         len(smallest),
         tuple(table.weights[smallest].tolist()),
         tuple(np.bincount(class_of).tolist()),
@@ -195,14 +209,8 @@ def translation_permutation(ctx: FieldContext, w: int) -> Tuple[int, ...]:
     """
     if not 0 <= w < (1 << ctx.m):
         raise ValueError("translation label out of range")
-
-    def pos_of(x: int) -> int:
-        return 0 if x == 0 else ctx.gm.log[x] + 1
-
-    def label_of(p: int) -> int:
-        return 0 if p == 0 else ctx.gm.exp[p - 1]
-
-    return tuple(pos_of(w ^ label_of(p)) for p in range(ctx.n + 1))
+    label = np.array([0, *ctx.gm.exp[:ctx.n]])
+    return tuple(np.argsort(label)[label ^ w].tolist())
 
 
 def lift_permutation(perm: Sequence[int]) -> Tuple[int, ...]:

@@ -2,8 +2,8 @@
 
 Nothing in the package calls these: coset distributions and dual spectra
 come there from one Walsh-Hadamard transform of the unit syndromes rather
-than from every dual word, designs are checked from a histogram of pair
-syndromes, graph6 is only ever written, cosets are known by their weights
+than from every dual word, designs are checked from the transform of its
+square rather than from a histogram of all pair syndromes, graph6 is only ever written, cosets are known by their weights
 alone and moved by a linear map of syndromes rather than by their leaders,
 neighbour counts are taken over the whole weight array at once, a coset
 graph is folded as the Cayley graph of a quotient group rather than by the
@@ -11,7 +11,8 @@ edges that cross its fibres, and a covering map is a linear map of
 syndromes, checked on the unit syndromes rather than edge by edge.  An
 extended code's coset table and counts are doubled from its base table
 rather than searched and counted, a coset map is fixed by r basis pairs
-rather than by an RREF of all n, matrix permutations are gathered from
+rather than by an RREF of all n, translations are gathered from the label
+array rather than found label by label, matrix permutations are gathered from
 tables rather than looked up position by position, and membership vectors
 are checked in numpy blocks, one table pass for all three sums.
 The field embedding, syndrome, membership, generator, codeword and
@@ -257,6 +258,50 @@ def verify_design(words, length, block_weight, strength):
     return DesignReport(length, block_weight, strength, len(words), lam, True)
 
 
+def design_by_pair_histogram(code):
+    """check_design from one histogram of the n(n-1)/2 pair syndromes
+    U[a] ^ U[b], a < b: cnt[U[p]] blocks pass through point p of a plain
+    code, and cnt[U[a] ^ U[b]] - 1 through the pair {a, b} of an extended
+    one; the witness is the first point or pair off lambda."""
+    units = np.asarray(code.unit_syndromes, dtype=np.int64)
+    n = code.length
+    if units.min() <= 0 or len(np.unique(units)) != n:
+        raise ValueError("design check needs distinct nonzero unit syndromes")
+    a, b = np.triu_indices(n, 1)
+    pair_syn = units[a] ^ units[b]
+    cnt = np.bincount(pair_syn, minlength=int(units.max()) + 1)
+    if code.extended:
+        block_weight, strength = 4, 2
+        blocks = int((cnt * (cnt - 1) // 2).sum()) // 3
+        through = cnt[pair_syn] - 1
+    else:
+        block_weight, strength = 3, 1
+        through = cnt[units]
+        blocks = int(through.sum()) // 3
+    if blocks == 0:
+        return DesignReport(n, block_weight, strength, 0, None, False)
+    lam = blocks * comb(block_weight, strength) // comb(n, strength)
+    off = np.flatnonzero(through != lam)
+    if len(off):
+        k = int(off[0])
+        witness = (int(a[k]), int(b[k])) if code.extended else (k,)
+        return DesignReport(n, block_weight, strength, blocks, lam, False, witness)
+    return DesignReport(n, block_weight, strength, blocks, lam, True)
+
+
+def translation_by_labels(ctx, w):
+    """translation_permutation one position at a time: position 0 is
+    labelled 0 and position j >= 1 by the field element of log j - 1."""
+
+    def pos_of(x):
+        return 0 if x == 0 else ctx.gm.log[x] + 1
+
+    def label_of(p):
+        return 0 if p == 0 else ctx.gm.exp[p - 1]
+
+    return tuple(pos_of(w ^ label_of(p)) for p in range(ctx.n + 1))
+
+
 def parse_graph6(data):
     """Adjacency lists from a graph6 byte string."""
     data = data.strip()
@@ -343,7 +388,7 @@ def leader_orbits(gens, code, leaders):
                     queue.append(t)
         weights.append(leaders[s0].bit_count())
         sizes.append(members)
-    return OrbitPartition(tuple(class_of), len(weights), tuple(weights), tuple(sizes))
+    return OrbitPartition(np.array(class_of), len(weights), tuple(weights), tuple(sizes))
 
 
 def loop_neighbour_counts(code, weight):

@@ -31,6 +31,7 @@ from oracles import (
     contains,
     coset_distributions,
     coset_leaders,
+    design_by_pair_histogram,
     distributions_uniform_by_syndrome,
     dual_enumerate,
     dual_weight_table,
@@ -317,7 +318,8 @@ def brute_design(stub, block_weight, strength):
     ids=["plain", "extended"],
 )
 def test_design_histogram_negative_control(units, extended, witness):
-    stub = SimpleNamespace(unit_syndromes=units, length=len(units), extended=extended)
+    stub = SimpleNamespace(unit_syndromes=units, length=len(units), extended=extended,
+                           syndrome_width=max(units).bit_length())
     rep = check_design(stub)
     assert not rep.ok
     assert rep.counterexample == witness
@@ -328,9 +330,47 @@ def test_design_histogram_negative_control(units, extended, witness):
 
 @pytest.mark.parametrize("units", [(1, 2, 3, 3), (0, 1, 2, 3)], ids=["repeated", "zero"])
 def test_design_needs_distinct_nonzero_units(units):
-    stub = SimpleNamespace(unit_syndromes=units, length=len(units), extended=False)
+    stub = SimpleNamespace(unit_syndromes=units, length=len(units), extended=False,
+                           syndrome_width=2)
     with pytest.raises(ValueError, match="distinct nonzero"):
         check_design(stub)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_design_matches_pair_histogram(m):
+    # blocks, lambda, verdict and witness of every chain code and extension
+    for code in build_chain(build_field_context(m)):
+        for c in (code, extend_code(code)):
+            rep = check_design(c)
+            assert rep == design_by_pair_histogram(c), (m, code.level, c.extended)
+            assert rep.ok
+
+
+def test_design_matches_pair_histogram_on_random_units():
+    rng = random.Random(22)
+    verdicts = Counter()
+    for trial in range(200):
+        width = rng.randint(4, 7)
+        nonzero = range(1, 1 << width)
+        units = rng.sample(nonzero, len(nonzero) if trial % 10 < 2
+                           else rng.randint(3, len(nonzero)))
+        stub = SimpleNamespace(unit_syndromes=tuple(units), length=len(units),
+                               extended=trial % 2 == 1, syndrome_width=width)
+        rep = check_design(stub)
+        assert rep == design_by_pair_histogram(stub), (trial, units)
+        verdicts[rep.ok, stub.extended] += 1
+    # most random unit sets are no design, so their witnesses are compared
+    assert verdicts[False, False] >= 50 and verdicts[False, True] >= 50
+    assert verdicts[True, False] >= 5 and verdicts[True, True] >= 5
+
+
+def test_designs_m10_closed_form():
+    m, n = 10, 1023
+    for i, code in enumerate(build_chain(build_field_context(m))):
+        lam = design_lambda(m, i)
+        rep, rep4 = check_design(code), check_design(extend_code(code))
+        assert (rep.ok, rep.lam, rep.blocks) == (True, lam, n * lam // 3)
+        assert (rep4.ok, rep4.lam, rep4.blocks) == (True, lam, lam * (n + 1) * n // 12)
 
 
 def test_extension_condition(chain4, chain6):

@@ -1,9 +1,11 @@
 """Matrix and translation actions, orbit counts, transitivity verdicts."""
 
+import dataclasses
 import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from crcodes import cli
@@ -13,6 +15,7 @@ from crcodes.regularity import CosetTable
 from crcodes.transitivity import (
     ActingGroup,
     Mat2,
+    OrbitPartition,
     certify_transitivity,
     compose_permutations,
     conjecture_predicate,
@@ -43,6 +46,7 @@ from oracles import (
     permutation_by_positions,
     permute_word,
     stabilizes_by_rows,
+    translation_by_labels,
 )
 
 
@@ -167,8 +171,14 @@ def test_linear_orbits_match_leader_oracle(m, request):
             for c, lead, gens, label in ((code, leaders, perms, name),
                                          (star, star_leaders, lifted, name + "+translations")):
                 got = orbits_on_cosets(gens, c, CosetTable(c))
-                assert got == leader_orbits(gens, c, lead), (i, label)
+                want = leader_orbits(gens, c, lead)
+                assert np.array_equal(got.class_of, want.class_of), (i, label)
+                assert (got.orbit_count, got.orbit_weights, got.orbit_sizes) == (
+                    want.orbit_count, want.orbit_weights, want.orbit_sizes), (i, label)
                 seen.add(label)
+    # the comparison above covers every field of the partition
+    assert [f.name for f in dataclasses.fields(OrbitPartition)] == [
+        "class_of", "orbit_count", "orbit_weights", "orbit_sizes"]
     assert seen == {"default", "+frob", "default+translations", "+frob+translations"}
 
 
@@ -263,6 +273,13 @@ def test_translations(ctx4, chain4):
         w = rng.randrange(16)
         v = rng.choice(words)
         assert contains(star, permute_word(translation_permutation(ctx4, w), v))
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_translation_matches_label_oracle(m, request):
+    ctx = request.getfixturevalue(f"ctx{m}")
+    for w in range(1 << m):
+        assert translation_permutation(ctx, w) == translation_by_labels(ctx, w), w
 
 
 def test_translation_label_range(ctx4):
@@ -362,9 +379,9 @@ def test_coset_action_matches_all_pairs_rref(m):
                 assert coset_action(perm, c).tolist() == want.tolist(), (code.level, c.extended)
 
 
-@pytest.mark.parametrize("m", [4, 6])
-def test_transposition_does_not_stabilize(m, request):
-    for code in request.getfixturevalue(f"chain{m}"):
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_transposition_does_not_stabilize(m):
+    for code in build_chain(build_field_context(m)):
         for c in (code, extend_code(code)):
             swap = list(range(c.length))
             swap[1], swap[2] = 2, 1
@@ -400,3 +417,43 @@ def test_matrix_permutations_match_position_loop(m):
         assert matrix_to_permutation(ctx, phi) == permutation_by_positions(ctx, phi)
     with pytest.raises(ValueError, match="singular"):
         matrix_to_permutation(ctx, Mat2(1, 1, 1, 1))
+
+
+# (m, level, extended) -> (group, orbit count, orbit weights, orbit sizes)
+CT_REPORTS = {
+    (4, 0, False): ("GL2", 2, (0, 1), (1, 15)),
+    (4, 0, True): ("GL2+translations", 3, (0, 2, 1), (1, 15, 16)),
+    (4, 1, False): ("SL2", 4, (0, 1, 2, 3), (1, 15, 15, 1)),
+    (4, 1, True): ("SL2+translations", 5, (0, 2, 4, 1, 3), (1, 30, 1, 16, 16)),
+    (4, 2, False): ("GL2", 4, (0, 1, 2, 3), (1, 15, 45, 3)),
+    (4, 2, True): ("GL2+translations", 5, (0, 2, 4, 1, 3), (1, 60, 3, 16, 48)),
+    (6, 0, False): ("GL2", 2, (0, 1), (1, 63)),
+    (6, 0, True): ("GL2+translations", 3, (0, 2, 1), (1, 63, 64)),
+    (6, 1, False): ("SL2", 4, (0, 1, 2, 3), (1, 63, 63, 1)),
+    (6, 1, True): ("SL2+translations", 5, (0, 2, 4, 1, 3), (1, 126, 1, 64, 64)),
+    (6, 2, False): ("SL2+frob", 4, (0, 1, 2, 3), (1, 63, 189, 3)),
+    (6, 2, True): ("SL2+frob+translations", 5, (0, 2, 4, 1, 3), (1, 252, 3, 64, 192)),
+    (6, 3, False): ("GL2", 4, (0, 1, 2, 3), (1, 63, 441, 7)),
+    (6, 3, True): ("GL2+translations", 5, (0, 2, 4, 1, 3), (1, 504, 7, 64, 448)),
+    (8, 0, False): ("GL2", 2, (0, 1), (1, 255)),
+    (8, 0, True): ("GL2+translations", 3, (0, 2, 1), (1, 255, 256)),
+    (8, 1, False): ("SL2", 4, (0, 1, 2, 3), (1, 255, 255, 1)),
+    (8, 1, True): ("SL2+translations", 5, (0, 2, 4, 1, 3), (1, 510, 1, 256, 256)),
+    (8, 2, False): ("SL2+frob", 6, (0, 1, 2, 2, 3, 3), (1, 255, 510, 255, 1, 2)),
+    (8, 2, True): ("SL2+frob+translations", 7, (0, 2, 4, 4, 1, 3, 3),
+                   (1, 1020, 1, 2, 256, 512, 256)),
+    (8, 3, False): ("SL2+frob", 8, (0, 1, 2, 2, 2, 3, 3, 3), (1, 255, 1020, 510, 255, 2, 1, 4)),
+    (8, 3, True): ("SL2+frob+translations", 9, (0, 2, 4, 4, 4, 1, 3, 3, 3),
+                   (1, 2040, 2, 1, 4, 256, 1024, 512, 256)),
+    (8, 4, False): ("GL2", 4, (0, 1, 2, 3), (1, 255, 3825, 15)),
+    (8, 4, True): ("GL2+translations", 5, (0, 2, 4, 1, 3), (1, 4080, 15, 256, 3840)),
+}
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_certify_transitivity_reports(m):
+    for code in build_chain(build_field_context(m)):
+        for c in (code, extend_code(code)):
+            rep = certify_transitivity(c, CosetTable(c))
+            got = (rep.group, rep.orbit_count, rep.orbit_weights, rep.orbit_sizes)
+            assert got == CT_REPORTS[m, code.level, c.extended]

@@ -358,6 +358,8 @@ def cmd_verify(args) -> int:
     for name in suites:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+        if suites.count(name) > 1:
+            raise ConfigError(f"suite {name!r} is listed more than once")
     if args.exhaustive and (4 not in ms or "cr" not in suites or args.extended):
         raise ConfigError("--exhaustive applies only to the m = 4 membership row of "
                           "the cr suite, which this run does not report")

@@ -10,11 +10,14 @@ the zero field element.
 Syndromes are packed ints: bits [0, m) hold the field sum over the support,
 bits [m, m+i) hold the projection of quad_sum onto a complement of the
 subspace, and extended codes add one parity bit on top.  A vector belongs to
-the code iff its syndrome is 0.  All objects are immutable after construction.
+the code iff its syndrome is 0.  Unit syndromes and parity rows come from
+the field's bit planes, and coset and covering maps from one basis solve per
+code.  All objects are immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -75,33 +78,29 @@ class LinearCode:
         self.length = ctx.n + 1 if extended else ctx.n
         self.syndrome_width = ctx.m + level + (1 if extended else 0)
         self.dimension = self.length - self.syndrome_width
-        self.unit_syndromes: Tuple[int, ...] = self._build_unit_syndromes()
-        self.parity_rows: Tuple[int, ...] = self._build_parity_rows()
+        self.unit_syndromes, self.parity_rows = self._build_rows()
         # independent rows leave a code of dimension length - syndrome_width
         if gf2_rank(self.parity_rows, self.length) != self.syndrome_width:
             raise RuntimeError("parity rows are not independent")
 
-    def _build_unit_syndromes(self) -> Tuple[int, ...]:
-        ctx = self.ctx
-        units = []
-        for p in range(ctx.n):
-            e = 0
-            for t, mask in enumerate(self.proj_masks):
-                e |= ((mask & ctx.qterm[p]).bit_count() & 1) << t
-            units.append(ctx.gm.exp[p] | (e << ctx.m))
-        if not self.extended:
-            return tuple(units)
-        par = 1 << (ctx.m + self.level)
-        return (par,) + tuple(s | par for s in units)
-
-    def _build_parity_rows(self) -> Tuple[int, ...]:
-        rows = [0] * self.syndrome_width
-        for p, s in enumerate(self.unit_syndromes):
-            while s:
-                low = s & -s
-                rows[low.bit_length() - 1] |= 1 << p
-                s ^= low
-        return tuple(rows)
+    def _build_rows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Unit syndromes and parity rows.  Bit m + t of U[p] is the parity
+        of proj_masks[t] on qterm[p], so parity row m + t is the XOR of the
+        qterm planes in that mask.  An extension puts the parity position
+        first and a top bit on every U[p]: rows shift by one, plus all ones."""
+        ctx, m = self.ctx, self.ctx.m
+        if self.base is not None:
+            par = 1 << (m + self.level)
+            units = (par,) + tuple(s | par for s in self.base.unit_syndromes)
+            rows = tuple(row << 1 for row in self.base.parity_rows)
+            return units, rows + ((2 << ctx.n) - 1,)
+        proj = [sum(((mask & v).bit_count() & 1) << (m + t)
+                    for t, mask in enumerate(self.proj_masks)) for v in range(ctx.q)]
+        units = tuple(e | proj[qt] for e, qt in zip(ctx.gm.exp, ctx.qterm))
+        quad_rows = tuple(functools.reduce(int.__xor__, (
+            plane for j, plane in enumerate(ctx.qterm_planes) if mask >> j & 1), 0)
+            for mask in self.proj_masks)
+        return units, ctx.exp_planes + quad_rows
 
     def describe(self) -> Dict[str, object]:
         ctx = self.ctx
@@ -145,6 +144,53 @@ def _support_xor(values: Sequence[int], packed: np.ndarray) -> np.ndarray:
     for j in range(nbytes):
         acc ^= table[j, packed[:, j]]
     return acc
+
+
+def _span_table(images: np.ndarray) -> np.ndarray:
+    """XOR of images[k] over the bits k of every index."""
+    import numpy as np
+
+    table = np.zeros(1 << len(images), dtype=np.int64)
+    for k, image in enumerate(images):
+        table[1 << k:2 << k] = table[:1 << k] ^ image
+    return table
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_coordinates(code: LinearCode) -> Tuple[List[int], np.ndarray, Optional[np.ndarray]]:
+    """The first r positions b, greedily, whose unit syndromes are
+    independent, all of U, and the coordinates of every syndrome in the
+    U[b] (None when U does not span), inverted from their span table: one
+    solve, kept for the code whose maps are built next."""
+    import numpy as np
+
+    rows, basis = [], []  # rows: reduced, leading bits distinct and descending
+    for p, s in enumerate(code.unit_syndromes):
+        for row in rows:
+            s = min(s, s ^ row)
+        if s:
+            rows = sorted(rows + [s], reverse=True)
+            basis.append(p)
+            if len(basis) == code.syndrome_width:
+                break
+    units = np.array(code.unit_syndromes, dtype=np.int64)
+    if len(basis) < code.syndrome_width:
+        return basis, units, None
+    span = _span_table(units[basis])
+    coords = np.empty_like(span)
+    coords[span] = np.arange(len(span))
+    return basis, units, coords
+
+
+def _syndrome_map(code: LinearCode, images: np.ndarray) -> Optional[np.ndarray]:
+    """Table over all syndromes of the linear map L with L(U[p]) = images[p]
+    for every position p, or None when there is none: L sends the U[b] to
+    the images[b], and must then agree with images on all n positions."""
+    basis, units, coords = _unit_coordinates(code)
+    if coords is None or len(images) != len(units):
+        return None
+    table = _span_table(images[basis])[coords]
+    return None if (table[units] != images).any() else table
 
 
 # vectors packed and checked at a time, so memory stays flat in their number

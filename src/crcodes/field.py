@@ -12,6 +12,9 @@ field; ``FieldContext`` ties together GF(2^m) and GF(2^u) for even m:
   m-bit value and the pair (g1, g2) of u-bit subfield values.
 * ``quad_sum(v)`` adds g1*g2 over the support of a bit vector v whose
   position p carries the label alpha^p.
+* ``exp_planes`` and ``qterm_planes`` hold the position tables bit by bit:
+  plane k has bit p set when bit k of the value at position p is, so the
+  chain's parity rows are these planes and XORs of them.
 
 Default polynomials (one primitive polynomial per degree, overridable):
 
@@ -30,7 +33,7 @@ Instances are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "PRIM_POLYS",
@@ -151,32 +154,20 @@ class FieldContext:
 
     def _build_embedding(self) -> None:
         # root of the GF(2^u) defining polynomial among the powers of beta
-        zeta = None
         for j in range(self.rbar):
-            cand = self.gm.power(self.beta, j)
+            zeta = self.gm.power(self.beta, j)
             acc = 0
             for k in range(self.u, -1, -1):
-                acc = self.gm.mul(acc, cand)
-                if (self.gu.poly >> k) & 1:
-                    acc ^= 1
+                acc = self.gm.mul(acc, zeta) ^ (self.gu.poly >> k & 1)
             if acc == 0:
-                zeta = cand
                 break
-        if zeta is None:
+        else:
             raise RuntimeError("subfield polynomial has no root among beta powers")
         self.zeta = zeta
-        zeta_pow = [1]
-        for _ in range(1, self.u):
-            zeta_pow.append(self.gm.mul(zeta_pow[-1], zeta))
-        embed = [0] * self.q
-        for a in range(self.q):
-            v = 0
-            t = a
-            while t:
-                low = t & -t
-                v ^= zeta_pow[low.bit_length() - 1]
-                t ^= low
-            embed[a] = v
+        # bit k of a subfield value a stands for zeta^k
+        embed = [0]
+        for k in range(self.u):
+            embed += [v ^ self.gm.power(zeta, k) for v in embed]
         if len(set(embed)) != self.q:
             raise RuntimeError("subfield embedding is not injective")
         self._embed: List[int] = embed
@@ -202,6 +193,8 @@ class FieldContext:
         self.qterm: Tuple[int, ...] = tuple(
             self.gu.mul(p.g1, p.g2) for p in self.quad_pairs
         )
+        self.exp_planes = _bit_planes(self.gm.exp, self.m)
+        self.qterm_planes = _bit_planes(self.qterm, self.u)
 
     def quad_decompose(self, value: int) -> QuadPair:
         if not 0 <= value < (1 << self.m):
@@ -232,6 +225,12 @@ class FieldContext:
             acc ^= qterm[low.bit_length() - 1]
             v ^= low
         return acc
+
+
+def _bit_planes(values: Sequence[int], width: int) -> Tuple[int, ...]:
+    """Plane k has bit p set when bit k of values[p] is."""
+    digits = [format(v, f"0{width}b") for v in reversed(values)]
+    return tuple(int("".join(column), 2) for column in zip(*digits))[::-1]
 
 
 def build_field_context(m: int, poly_m: Optional[int] = None, poly_u: Optional[int] = None) -> FieldContext:

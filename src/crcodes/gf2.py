@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -12,7 +12,6 @@ __all__ = [
     "gf2_rank",
     "gf2_nullspace",
     "gf2_span",
-    "gf2_linear_map",
     "gf2_wht",
 ]
 
@@ -65,26 +64,6 @@ def gf2_span(basis: List[int]) -> Iterator[int]:
     for t in range(1, 1 << len(basis)):
         word ^= basis[(t & -t).bit_length() - 1]
         yield word
-
-
-def gf2_linear_map(
-    pairs: Iterable[Tuple[int, int]], width: int, out_width: int
-) -> Optional[np.ndarray]:
-    """Table over all 2^width inputs of the linear map L with L(x) = y for
-    every pair (x, y); None when the xs do not span or no such L exists.
-
-    The rows x | y << width reduce to e_k | L(e_k) << width exactly when L
-    exists, and the table doubles by L(x ^ e_k) = L(x) ^ L(e_k).
-    """
-    import numpy as np
-
-    rows, pivots = gf2_rref((x | y << width for x, y in pairs), width + out_width)
-    if pivots != list(range(width)):
-        return None
-    table = np.zeros(1 << width, dtype=np.int64)
-    for k, row in enumerate(rows):
-        table[1 << k:2 << k] = table[:1 << k] ^ (row >> width)
-    return table
 
 
 def gf2_wht(values: np.ndarray) -> np.ndarray:

@@ -6,20 +6,20 @@ automorphisms, so dist(x, y) = w(x ^ y) for the coset weight w, and the
 graph rows read the coset table: the graph is distance-regular with the
 code's own intersection array (``verify_completely_regular``), and
 antipodality, the fold and the cover array come from w and U alone.
-Covering maps are a linear map of syndromes; only export reads the
-adjacency.
+The fold reduces syndromes by a basis of the fibre through 0, and a
+covering map is the linear map of syndromes from the fine code's basis
+solve; only export reads the adjacency.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .codes import LinearCode
-from .gf2 import gf2_linear_map
+from .codes import LinearCode, _syndrome_map
 from .regularity import CosetTable, IntersectionArray, verify_completely_regular
 
 __all__ = [
@@ -72,12 +72,12 @@ def build_coset_graph(code: LinearCode) -> CosetGraph:
     return CosetGraph(size, len(code.unit_syndromes), adj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntipodalReport:
     applicable: bool
     antipodal: bool
     fibre_size: int
-    fibres: Optional[Tuple[Tuple[int, ...], ...]]
+    fibres: Optional[np.ndarray]  # one fibre a row, rows by smallest vertex
     witness: Optional[Dict[str, int]] = None
 
 
@@ -108,7 +108,7 @@ def check_antipodal(table: CosetTable) -> AntipodalReport:
         heads |= 1 << (int(s).bit_length() - 1)
     smallest = np.flatnonzero((np.arange(len(weights)) & heads) == 0)
     fibres = np.sort(smallest[:, None] ^ members[None, :], axis=1)
-    return AntipodalReport(True, True, len(members), tuple(map(tuple, fibres.tolist())))
+    return AntipodalReport(True, True, len(members), fibres)
 
 
 def fold(code: LinearCode, fibres: Sequence[Sequence[int]]) -> FoldedGraph:
@@ -117,26 +117,33 @@ def fold(code: LinearCode, fibres: Sequence[Sequence[int]]) -> FoldedGraph:
     iff U mod A meets every class but A itself."""
     size = 1 << code.syndrome_width
     block_of = np.full(size, -1, dtype=np.int64)
-    for i, block in enumerate(fibres):
-        block_of[list(block)] = i
-    a = np.flatnonzero(block_of == block_of[0])
-    blocks = np.unique(block_of)
-    # each block is a union of cosets x ^ A, and there are as many blocks
-    # as cosets, so the blocks are the cosets
-    if blocks[0] < 0 or len(blocks) * len(a) != size or (
-            block_of[np.arange(size)[:, None] ^ a] != block_of[:, None]).any():
+    listed = np.concatenate(fibres)
+    block_of[listed] = np.repeat(np.arange(len(fibres)), list(map(len, fibres)))
+    # reduce every syndrome by an echelon basis of the span S of A: each
+    # coset x ^ S has one reduced member, with no bit at a leading bit
+    reduced, rest, rank = np.arange(size), np.flatnonzero(block_of == block_of[0]), 0
+    while rest.any():
+        row = rest.max()
+        rest = np.minimum(rest, rest ^ row)
+        reduced = np.minimum(reduced, reduced ^ row)
+        rank += 1
+    rep = np.zeros(len(fibres), dtype=np.int64)
+    rep[block_of] = reduced
+    count = int(np.count_nonzero(np.bincount(block_of + 1)[1:]))
+    # a partition, each fibre inside one coset of S, as many fibres as cosets
+    if len(listed) != size or (block_of < 0).any() or (
+            rep[block_of] != reduced).any() or count << rank != size:
         raise ValueError("fibres are not the cosets of the fibre through 0")
-    units = np.asarray(code.unit_syndromes, dtype=np.int64)
-    hit = np.setdiff1d(block_of[units], block_of[:1])
-    return FoldedGraph(len(blocks), len(a), len(hit) == len(blocks) - 1)
+    hit = set(reduced[np.asarray(code.unit_syndromes)].tolist()) - {0}
+    return FoldedGraph(count, 1 << rank, len(hit) == count - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverReport:
     fibre_size: int
     constant_fibres: bool
     locally_bijective: bool
-    projection: Tuple[int, ...]
+    projection: np.ndarray  # coarse syndrome of every fine syndrome
     witness: Optional[int] = None
 
     @property
@@ -157,17 +164,14 @@ def verify_cover(fine_code: LinearCode, coarse_code: LinearCode) -> CoverReport:
     """
     if not _simple(fine_code.unit_syndromes):
         raise ValueError("unit syndromes must be nonzero and distinct")
-    proj = gf2_linear_map(
-        zip(fine_code.unit_syndromes, coarse_code.unit_syndromes),
-        fine_code.syndrome_width, coarse_code.syndrome_width,
-    )
+    proj = _syndrome_map(fine_code, np.asarray(coarse_code.unit_syndromes, dtype=np.int64))
     if proj is None:
         raise ValueError("fine code is not contained in the coarse code")
     expected = len(proj) >> coarse_code.syndrome_width
     counts = np.bincount(proj, minlength=1 << coarse_code.syndrome_width)
     bijective = _simple(coarse_code.unit_syndromes)
     return CoverReport(expected, bool((counts == expected).all()), bijective,
-                       tuple(proj.tolist()), None if bijective else 0)
+                       proj, None if bijective else 0)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,8 @@ where the linear stabilizer alone leaves too many orbits.
 
 A permutation pi stabilizes C, the kernel of v -> XOR of U[p] over the
 support of v, exactly when one linear map of syndromes sends each U[p] to
-U[pi(p)], and it moves every coset at once.  One basis solve per code
-gives every syndrome's coordinates in r independent unit syndromes U[b];
-a generator's map reads them in the U[pi(b)], and all n pairs check it.
+U[pi(p)], and it moves every coset at once.  The map comes from the code's
+one basis solve (``codes._syndrome_map``), as covering maps do.
 Orbits are the components of the generator maps, found by min-label
 propagation and numbered by their smallest syndrome.
 
@@ -35,9 +34,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import LinearCode, _syndrome_map
 from .field import FieldContext, GF2Ext
-from .gf2 import gf2_linear_map, gf2_span
+from .gf2 import gf2_span
 from .regularity import CosetTable
 
 __all__ = [
@@ -130,39 +129,10 @@ class OrbitPartition:
     orbit_sizes: Tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=1)
-def _unit_coordinates(code: LinearCode) -> Tuple[List[int], np.ndarray, Optional[np.ndarray]]:
-    """The first r positions, greedily, whose unit syndromes U[b] are
-    independent, all of U, and the coordinates of every syndrome in the
-    U[b]: one solve, kept for the code whose generators are mapped next."""
-    rows, basis = [], []  # rows: reduced, leading bits distinct and descending
-    for p, s in enumerate(code.unit_syndromes):
-        for row in rows:
-            s = min(s, s ^ row)
-        if s:
-            rows = sorted(rows + [s], reverse=True)
-            basis.append(p)
-            if len(basis) == code.syndrome_width:
-                break
-    pairs = ((code.unit_syndromes[b], 1 << k) for k, b in enumerate(basis))
-    coords = gf2_linear_map(pairs, code.syndrome_width, code.syndrome_width)
-    return basis, np.array(code.unit_syndromes), coords
-
-
 def coset_action(perm: Sequence[int], code: LinearCode) -> Optional[np.ndarray]:
-    """Image of every syndrome under the coset map of perm, or None when
-    perm does not stabilize the code: the map takes each syndrome's
-    coordinates in the U[b] to the U[perm[b]], and must send every U[p] to
-    U[perm[p]]."""
-    basis, units, coords = _unit_coordinates(code)
-    if coords is None:
-        return None
-    target = units[np.asarray(perm)]
-    span = np.zeros(len(coords), dtype=np.int64)
-    for k, b in enumerate(basis):
-        span[1 << k:2 << k] = span[:1 << k] ^ target[b]
-    image = span[coords]
-    return None if (image[units] != target).any() else image
+    """Image of every syndrome under the coset map of perm, which sends
+    every U[p] to U[perm[p]], or None when perm does not stabilize the code."""
+    return _syndrome_map(code, np.asarray(code.unit_syndromes)[np.asarray(perm)])
 
 
 def orbits_on_cosets(

@@ -8,15 +8,18 @@ alone and moved by a linear map of syndromes rather than by their leaders,
 neighbour counts are taken over the whole weight array at once, a coset
 graph is folded as the Cayley graph of a quotient group rather than by the
 edges that cross its fibres, and a covering map is a linear map of
-syndromes, checked on the unit syndromes rather than edge by edge.  An
+syndromes, checked on the unit syndromes rather than edge by edge and
+fixed by r basis pairs rather than by an RREF of all n.  An
 extended code's coset table and counts are doubled from its base table
 rather than searched and counted, a coset map is fixed by r basis pairs
 rather than by an RREF of all n, translations are gathered from the label
 array rather than found label by label, matrix permutations are gathered from
 tables rather than looked up position by position, and membership vectors
 are checked in numpy blocks, one table pass for all three sums.
-The field embedding, syndrome, membership, generator, codeword and
-parity-matrix helpers are test-only views of a field or code: the package
+Unit syndromes and parity rows are built position by position rather
+than from the field's bit planes.  The field embedding, syndrome,
+membership, generator, codeword and parity-matrix helpers are test-only
+views of a field or code: the package
 reads a code through its unit syndromes and parity rows alone.  The
 stacked Hamming and power parity matrices check that the syndrome
 construction cuts out the base code, and ``load_code`` reads back the
@@ -37,7 +40,7 @@ import numpy as np
 
 from crcodes.codes import LinearCode
 from crcodes.field import QuadPair, build_field_context
-from crcodes.gf2 import gf2_linear_map, gf2_nullspace, gf2_rank, gf2_rref, gf2_span
+from crcodes.gf2 import gf2_nullspace, gf2_rank, gf2_rref, gf2_span
 from crcodes.graphs import CoverReport, FoldedGraph, build_coset_graph
 from crcodes.regularity import CosetTable, DesignReport, IntersectionArray, RegularityReport
 from crcodes.transitivity import Mat2, OrbitPartition
@@ -85,6 +88,32 @@ def build_base_code(ctx):
     if gf2_rref(stacked, ctx.n)[0] != gf2_rref(code.parity_rows, ctx.n)[0]:
         raise RuntimeError("syndrome construction disagrees with stacked parity")
     return code
+
+
+def unit_syndromes_by_positions(code):
+    """Unit syndromes one position at a time: exp[p], with the parity of
+    projection mask t on qterm[p] at bit m + t; an extended code puts the
+    parity position first and a parity bit on top of every syndrome."""
+    ctx = code.ctx
+    units = []
+    for p in range(ctx.n):
+        e = 0
+        for t, mask in enumerate(code.proj_masks):
+            e |= ((mask & ctx.qterm[p]).bit_count() & 1) << t
+        units.append(ctx.gm.exp[p] | (e << ctx.m))
+    if not code.extended:
+        return tuple(units)
+    par = 1 << (ctx.m + code.level)
+    return (par,) + tuple(s | par for s in units)
+
+
+def parity_rows_by_positions(code):
+    """Row t has bit p set when bit t of the unit syndrome at p is."""
+    rows = [0] * code.syndrome_width
+    for p, s in enumerate(unit_syndromes_by_positions(code)):
+        for t in bit_support(s):
+            rows[t] |= 1 << p
+    return tuple(rows)
 
 
 def load_code(desc_path):
@@ -440,6 +469,22 @@ def permutation_by_positions(ctx, phi):
     return tuple(perm)
 
 
+def gf2_linear_map(pairs, width, out_width):
+    """Table over all 2^width inputs of the linear map L with L(x) = y for
+    every pair (x, y); None when the xs do not span or no such L exists.
+
+    The rows x | y << width reduce to e_k | L(e_k) << width exactly when L
+    exists, and the table doubles by L(x ^ e_k) = L(x) ^ L(e_k).
+    """
+    rows, pivots = gf2_rref((x | y << width for x, y in pairs), width + out_width)
+    if pivots != list(range(width)):
+        return None
+    table = np.zeros(1 << width, dtype=np.int64)
+    for k, row in enumerate(rows):
+        table[1 << k:2 << k] = table[:1 << k] ^ (row >> width)
+    return table
+
+
 def coset_map_by_all_pairs(perm, code):
     """The coset map of perm from one RREF of all n pairs (U[p], U[perm[p]])."""
     units = code.unit_syndromes
@@ -490,7 +535,23 @@ def cover_by_edges(fine_code, coarse_code):
     ok_rows = (images == coarse.adjacency[proj]).all(axis=1)
     witness = None if ok_rows.all() else int(np.flatnonzero(~ok_rows)[0])
     return CoverReport(expected, bool((counts == expected).all()), witness is None,
-                       tuple(proj.tolist()), witness)
+                       proj, witness)
+
+
+def cover_by_all_pairs(fine_code, coarse_code):
+    """Covering-map check with the projection from one RREF of all n pairs
+    (U_f[p], U_c[p]); locally bijective when the coarse unit syndromes are
+    nonzero and distinct, else witness 0."""
+    coarse_units = coarse_code.unit_syndromes
+    proj = gf2_linear_map(zip(fine_code.unit_syndromes, coarse_units),
+                          fine_code.syndrome_width, coarse_code.syndrome_width)
+    if proj is None:
+        raise ValueError("fine code is not contained in the coarse code")
+    expected = len(proj) >> coarse_code.syndrome_width
+    counts = np.bincount(proj, minlength=1 << coarse_code.syndrome_width)
+    bijective = 0 not in coarse_units and len(set(coarse_units)) == len(coarse_units)
+    return CoverReport(expected, bool((counts == expected).all()), bijective, proj,
+                       None if bijective else 0)
 
 
 def dual_enumerate(code):

@@ -315,6 +315,28 @@ def test_algebra_suites_load_no_masked_arrays_or_graphs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_graph_suites_load_no_masked_arrays():
+    # the fold and the cover read no np.unique or np.setdiff1d, which
+    # import numpy.ma
+    script = (
+        "import contextlib, io, sys\n"
+        "from crcodes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--m', '4', '--suite', 'graph,cover'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_repeated_suite_exits_3(capsys):
+    assert cli.main(["verify", "--m", "4", "--suite", "cr,duals,cr"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'cr'" in captured.err and "more than once" in captured.err
+
+
 def test_verify_m8_graph_suites(capsys):
     t0 = time.perf_counter()
     code, report = run_json(capsys, ["verify", "--m", "8", "--suite", "graph,cover"])

@@ -35,7 +35,9 @@ from oracles import (
     membership_by_vectors,
     n_rows,
     parity,
+    parity_rows_by_positions,
     syndrome,
+    unit_syndromes_by_positions,
     verify_cyclic,
 )
 
@@ -229,6 +231,27 @@ def test_chain_custom_targets():
         build_chain(ctx, [8])
     with pytest.raises(ValueError):
         build_chain(ctx, [1, 2, 4, 7])
+
+
+def assert_rows_match_position_oracle(chain):
+    for code in chain:
+        for c in (code, extend_code(code)):
+            assert c.unit_syndromes == unit_syndromes_by_positions(c), c
+            assert c.parity_rows == parity_rows_by_positions(c), c
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+def test_chain_rows_match_position_oracle(m):
+    assert_rows_match_position_oracle(build_chain(build_field_context(m)))
+
+
+def test_chain_rows_match_position_oracle_other_chains():
+    # a non-canonical subspace basis at m = 8, and other primitive
+    # polynomials for the field or the subfield at m = 6
+    assert_rows_match_position_oracle(build_chain(build_field_context(8), [6, 11, 1]))
+    for poly_m, poly_u in ((0b1100001, None), (None, 0b1101), (0b1100111, 0b1101),
+                           (0b1101101, 0b1011)):
+        assert_rows_match_position_oracle(build_chain(build_field_context(6, poly_m, poly_u)))
 
 
 def test_min_weights_m4():

@@ -8,7 +8,8 @@ oracles below compute its distances from the adjacency instead.
 import numpy as np
 import pytest
 
-from crcodes.codes import extend_code
+from crcodes.codes import build_chain, extend_code
+from crcodes.field import build_field_context
 from crcodes.graphs import (
     build_coset_graph,
     check_antipodal,
@@ -24,7 +25,14 @@ from crcodes.regularity import (
     extended_cria_array,
     verify_completely_regular,
 )
-from oracles import coset_leaders, cover_by_edges, fold_by_edges, parse_graph6, syndrome
+from oracles import (
+    coset_leaders,
+    cover_by_all_pairs,
+    cover_by_edges,
+    fold_by_edges,
+    parse_graph6,
+    syndrome,
+)
 
 
 def dense_distances(graph):
@@ -69,6 +77,13 @@ def dense_fibres(dist):
     if (linked != related).any():
         return None
     return {tuple(np.flatnonzero(row)) for row in related}
+
+
+def assert_same_cover(rep, want):
+    """Every field of two cover reports agrees, the projection entry by entry."""
+    assert np.array_equal(rep.projection, want.projection)
+    assert (rep.fibre_size, rep.constant_fibres, rep.locally_bijective, rep.witness) == (
+        want.fibre_size, want.constant_fibres, want.locally_bijective, want.witness)
 
 
 def cayley(width, units):
@@ -178,7 +193,8 @@ def test_dense_oracle_agrees(request, m):
         assert array == dense_array(dist, adj) is not None
         anti = check_antipodal(table)
         if anti.applicable:
-            assert anti.antipodal and set(anti.fibres) == dense_fibres(dist)
+            assert anti.antipodal
+            assert set(map(tuple, anti.fibres.tolist())) == dense_fibres(dist)
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -231,6 +247,7 @@ def test_antipodal_m4(tables4):
         anti = check_antipodal(tables4[i])
         assert anti.applicable and anti.antipodal
         assert anti.fibre_size == 1 << i
+        assert anti.fibres.shape == (len(tables4[i]) >> i, 1 << i)
         covered = sorted(v for block in anti.fibres for v in block)
         assert covered == list(range(len(tables4[i])))
     # the zero fibre is the zero coset plus every deepest coset
@@ -246,6 +263,7 @@ def test_fold_to_complete(chain4, chain6, tables4, tables6):
         for i in range(1, len(chain)):
             anti = check_antipodal(tables[i])
             folded = fold(chain[i], anti.fibres)
+            assert type(folded.vertex_count) is int and type(folded.is_complete) is bool
             assert folded.vertex_count == 1 << m
             assert folded.fibre_size == 1 << i
             assert folded.is_complete
@@ -278,6 +296,22 @@ def test_fold_rejects_partial_fibres(chain4):
         fold(chain4[0], [(0, 1), (2, 4), (3, 5)] + [(v, v + 1) for v in range(6, 16, 2)])
 
 
+def test_fold_rejects_equal_blocks_that_are_not_cosets(chain4):
+    # the block through 0 is the subgroup {0, 3}, but {1, 4} is no coset of it
+    pairs = [(0, 3), (1, 4), (2, 7), (5, 6), (8, 11), (9, 10), (12, 15), (13, 14)]
+    # the block through 0, {0, 1, 2, 4}, is no subgroup
+    quads = [(0, 1, 2, 4), (3, 5, 6, 7), (8, 9, 10, 12), (11, 13, 14, 15)]
+    for fibres in (pairs, quads):
+        with pytest.raises(ValueError, match="cosets"):
+            fold(chain4[0], fibres)
+
+
+def test_fold_rejects_overlapping_fibres(chain4):
+    # 2 is listed twice; the later fibre would take it and the rest pass
+    with pytest.raises(ValueError, match="cosets"):
+        fold(chain4[0], [(0, 1, 2)] + [(v, v ^ 1) for v in range(2, 16, 2)])
+
+
 def test_covers_m4(chain4):
     for i in range(1, 3):
         leaders = coset_leaders(chain4[i])
@@ -287,7 +321,7 @@ def test_covers_m4(chain4):
             assert rep.fibre_size == 1 << (i - j)
             # the linear projection agrees with the coarse syndrome of each
             # fine coset leader
-            assert rep.projection == tuple(syndrome(chain4[j], v) for v in leaders)
+            assert np.array_equal(rep.projection, [syndrome(chain4[j], v) for v in leaders])
 
 
 def test_covers_m6_and_composition(chain6):
@@ -297,7 +331,7 @@ def test_covers_m6_and_composition(chain6):
         for j in range(i):
             rep = verify_cover(chain6[i], chain6[j])
             assert rep.verdict and rep.fibre_size == 1 << (i - j)
-            assert rep.projection == tuple(syndrome(chain6[j], v) for v in leaders)
+            assert np.array_equal(rep.projection, [syndrome(chain6[j], v) for v in leaders])
             projs[i, j] = rep.projection
     for s in range(1 << chain6[3].syndrome_width):
         assert projs[3, 1][s] == projs[2, 1][projs[3, 2][s]]
@@ -314,6 +348,9 @@ def test_extended_cover_m6(chain6):
 def test_cover_rejects_non_nested(chain4):
     with pytest.raises(ValueError, match="contained"):
         verify_cover(chain4[1], chain4[2])
+    # a plain code does not lie in an extended one, which is one longer
+    with pytest.raises(ValueError, match="contained"):
+        verify_cover(chain4[2], extend_code(chain4[1]))
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -324,8 +361,19 @@ def test_cover_agrees_with_edge_oracle(request, m):
         for i in range(1, len(codes)):
             for j in range(i):
                 rep = verify_cover(codes[i], codes[j])
-                assert rep == cover_by_edges(codes[i], codes[j])
+                assert_same_cover(rep, cover_by_edges(codes[i], codes[j]))
                 assert rep.verdict and rep.fibre_size == 1 << (i - j)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_cover_matches_all_pairs_oracle(m):
+    chain = build_chain(build_field_context(m))
+    for ext in (False, True):
+        codes = [extend_code(c) if ext else c for c in chain]
+        for i in range(1, len(codes)):
+            for j in range(i):
+                want = cover_by_all_pairs(codes[i], codes[j])
+                assert_same_cover(verify_cover(codes[i], codes[j]), want)
 
 
 @pytest.mark.parametrize("units", [(1, 2, 1, 2), (1, 2, 3, 0)], ids=["repeated", "zero"])
@@ -343,7 +391,7 @@ def test_cover_fibres_not_constant_when_coarse_units_miss_syndromes():
     # 4..7 have empty fibres while 0..3 have two vertices each
     rep = verify_cover(cayley(3, (1, 2, 4, 7)), cayley(3, (1, 2, 1, 2)))
     assert rep.fibre_size == 1 and not rep.constant_fibres and not rep.verdict
-    assert rep.projection == (0, 1, 2, 3, 1, 0, 3, 2)
+    assert np.array_equal(rep.projection, [0, 1, 2, 3, 1, 0, 3, 2])
 
 
 @pytest.mark.parametrize("units", [(1, 2, 3, 3), (1, 2, 3, 0)], ids=["repeated", "zero"])
